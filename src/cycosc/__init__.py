@@ -21,6 +21,7 @@ from .errors import (
     NegativeLevel,
     NegativePower,
     NonPositiveF,
+    NotFinite,
     NotHermitian,
     NotReal,
     ParseError,
@@ -84,6 +85,7 @@ __all__ = [
     "NegativePower",
     "NonPositiveF",
     "NormalForm",
+    "NotFinite",
     "NotHermitian",
     "NotReal",
     "ParseError",

@@ -30,7 +30,7 @@ from .params import (
     params_from_kappa,
     validate_alpha,
 )
-from .winf import N_READINGS, PHI_READINGS, winf_structure
+from .winf import N_READINGS, PHI_READINGS, dual_readings, winf_structure
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -55,21 +55,23 @@ def _parse_kappa(text: str):
     return out
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config(args) -> dict:
+    """The parsed --config file, or {} without one."""
+    if not args.config:
+        return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as err:
-        raise _IOFailure(f"cannot read config {path}: {err}") from err
+        raise _IOFailure(f"cannot read config {args.config}: {err}") from err
 
 
 class _IOFailure(Exception):
     pass
 
 
-def _resolve_params(args) -> AlgebraParams:
-    """Merge --config with inline flags; flags win."""
-    cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+def _resolve_params(args, cfg: dict) -> AlgebraParams:
+    """Merge the config with inline flags; flags win."""
     lam = int(args.lam if args.lam is not None else cfg.get("lambda", 2))
     if args.alpha and args.kappa:
         raise CycoscError("give at most one of --alpha / --kappa")
@@ -87,9 +89,10 @@ def _resolve_params(args) -> AlgebraParams:
     return validate_alpha(lam, [0.0] * lam)
 
 
-def _resolve_dim(args, params: AlgebraParams) -> int:
-    cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+def _resolve_dim(args, cfg: dict) -> int:
     dim = args.dim if args.dim is not None else cfg.get("dim", 64)
+    if isinstance(dim, float) and not dim.is_integer():
+        raise CycoscError(f"dim must be a whole number, got {dim}")
     return int(dim)
 
 
@@ -118,8 +121,9 @@ def _write_matrix_dump(rep, path: str):
 
 
 def cmd_spectrum(args) -> int:
-    params = _resolve_params(args)
-    dim = _resolve_dim(args, params)
+    cfg = _load_config(args)
+    params = _resolve_params(args, cfg)
+    dim = _resolve_dim(args, cfg)
     rep = build_rep(params, dim)
     if args.dump_matrices:
         _write_matrix_dump(rep, args.dump_matrices)
@@ -178,7 +182,7 @@ def format_nf_json(nf: NormalForm) -> str:
 
 
 def cmd_nf(args) -> int:
-    params = _resolve_params(args)
+    params = _resolve_params(args, _load_config(args))
     tree = parse(args.expr)
     nf = normal_form(tree, params)
     as_json = args.format == "json" or getattr(args, "as_json", False)
@@ -193,8 +197,9 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = _resolve_params(args)
-    dim = _resolve_dim(args, params)
+    cfg = _load_config(args)
+    params = _resolve_params(args, cfg)
+    dim = _resolve_dim(args, cfg)
     suites = tuple(args.suite.split(",")) if args.suite else ("all",)
     report = run_suite(
         params,
@@ -228,22 +233,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wconst(args) -> int:
-    rows = []
     const = winf_structure(
         args.i, args.j, args.l, args.m, args.n,
         n_reading=args.N_reading, phi_reading=args.phi_reading,
     )
-    both = {}
-    for nr in N_READINGS:
-        both[f"N_{nr}"] = winf_structure(
-            args.i, args.j, args.l, args.m, args.n, n_reading=nr,
-            phi_reading=args.phi_reading,
-        ).value_N
-    for pr in PHI_READINGS:
-        both[f"phi_{pr}"] = winf_structure(
-            args.i, args.j, args.l, args.m, args.n, n_reading=args.N_reading,
-            phi_reading=pr,
-        ).value_phi
+    both = dual_readings(args.i, args.j, args.l, args.m, args.n)
     payload = {
         "i": args.i,
         "j": args.j,

@@ -27,6 +27,10 @@ class NotReal(CycoscError):
     """A quantity that must be real carries a non-negligible imaginary part."""
 
 
+class NotFinite(CycoscError):
+    """A parameter entry is infinite or NaN."""
+
+
 # ---- Fock realization ----
 
 class NegativeLevel(CycoscError):

@@ -98,17 +98,16 @@ class FockRep:
 DIM_CAP = 256
 
 
-def build_rep(params: AlgebraParams, dim: int, dim_cap: int = DIM_CAP) -> FockRep:
+def build_rep(params: AlgebraParams, dim: int) -> FockRep:
     """Construct the dense realization; raises DimTooSmall for dim < lam + 2.
 
-    Matrices are dense (ladder products fill in), so dim is capped; raise the
-    cap explicitly when a larger truncation is really wanted.
+    Matrices are dense (ladder products fill in), so dim is capped at DIM_CAP.
     """
     lam = params.lam
     if dim < lam + 2:
         raise DimTooSmall(f"dim {dim} < lam + 2 = {lam + 2}")
-    if dim > dim_cap:
-        raise ValueError(f"dim {dim} exceeds the dense-matrix cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise ValueError(f"dim {dim} exceeds the dense-matrix cap {DIM_CAP}")
 
     levels = np.arange(dim)
     f_vals = np.array([structure_function(params, int(n)) for n in range(dim + 1)])

@@ -250,6 +250,24 @@ def kpoly_left_mul(poly, p: int, q: int, lam: int) -> NormalForm:
     return _pruned(lam, terms)
 
 
+def kpoly_mul(x, y, scale=1.0) -> np.ndarray:
+    """Product of two K-polynomial vectors modulo K^lam = 1, times `scale`.
+
+    The scalar multiplies each pair product before it is summed, which keeps
+    the rounding of a right side printed as a sum of such triple products.
+    """
+    lam = len(x)
+    out = np.zeros(lam, dtype=complex)
+    for r1, c1 in enumerate(x):
+        if c1 == 0:
+            continue
+        for r2, c2 in enumerate(y):
+            if c2 == 0:
+                continue
+            out[(r1 + r2) % lam] += c1 * c2 * scale
+    return out
+
+
 def left_read(nf: NormalForm, p: int, q: int) -> np.ndarray:
     """Left-positioned K-polynomial multiplying (a+)^p a^q inside `nf`."""
     lam = nf.lam
@@ -341,15 +359,7 @@ class _KPoly:
 
     def __mul__(self, other):
         if isinstance(other, _KPoly):
-            out = np.zeros(self.lam, dtype=complex)
-            for r1, c1 in enumerate(self.vec):
-                if c1 == 0:
-                    continue
-                for r2, c2 in enumerate(other.vec):
-                    if c2 == 0:
-                        continue
-                    out[(r1 + r2) % self.lam] += c1 * c2
-            return _KPoly(self.lam, out)
+            return _KPoly(self.lam, kpoly_mul(self.vec, other.vec))
         return _KPoly(self.lam, self.vec * other)
 
     __rmul__ = __mul__

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, NotHermitian, NotReal, SumNotZero, UnitarityBound
+from .errors import BadLength, NotFinite, NotHermitian, NotReal, SumNotZero, UnitarityBound
 
 SUM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -82,14 +83,16 @@ class AlgebraParams:
 def validate_alpha(lam: int, alpha) -> AlgebraParams:
     """Validate an alpha vector and derive beta, gamma and kappa.
 
-    Raises BadLength, SumNotZero or UnitarityBound when the input violates
-    the defining constraints.
+    Raises BadLength, NotFinite, SumNotZero or UnitarityBound when the input
+    violates the defining constraints.
     """
     if lam < 2:
         raise BadLength(f"cyclic order must be >= 2, got {lam}")
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != lam:
         raise BadLength(f"alpha must have {lam} entries, got {len(alpha)}")
+    if not all(math.isfinite(a) for a in alpha):
+        raise NotFinite(f"alpha entries must be finite, got {list(alpha)}")
 
     # Left-to-right cumulative sums so beta_{mu+1} - beta_mu == alpha_mu exactly.
     beta = [0.0]

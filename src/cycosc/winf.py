@@ -97,7 +97,7 @@ def mode_factor(i: int, j: int, l: int, m: int, n: int, reading: str = "literal"
     return acc
 
 
-def phi_factor(i: int, j: int, l: int, reading: str = "literal", cap: int = PHI_SERIES_CAP) -> float:
+def phi_factor(i: int, j: int, l: int, reading: str = "literal") -> float:
     """Hypergeometric-type factor phi^{ij}_l.
 
     reading 'literal' is the cleanest transcription of the printed series,
@@ -107,8 +107,9 @@ def phi_factor(i: int, j: int, l: int, reading: str = "literal", cap: int = PHI_
 
     'alt' shifts the garbled half-integer offsets the other way
     ((-l/2 + 1/2)_k upstairs, (-i + 1/2)_k and (-j + 1/2)_k downstairs).
-    The series truncates once a numerator Pochhammer hits zero; a zero
-    denominator factor before that raises PoleInPochhammer.
+    The series truncates once a numerator Pochhammer hits zero, and after
+    its k = PHI_SERIES_CAP term otherwise; a zero denominator factor before
+    that raises PoleInPochhammer.
     """
     if reading not in PHI_READINGS:
         raise ValueError(f"unknown phi reading {reading!r}")
@@ -119,7 +120,7 @@ def phi_factor(i: int, j: int, l: int, reading: str = "literal", cap: int = PHI_
         num_bases = (-0.5, 1.5, -l / 2 + 0.5, -l / 2)
         den_bases = (-i + 0.5, -j + 0.5, i + j - l + 2.5)
     total = 0.0
-    for k in range(cap + 1):
+    for k in range(PHI_SERIES_CAP + 1):
         num = 1.0
         for b in num_bases:
             num *= rising(b, k)
@@ -184,6 +185,18 @@ def winf_structure(
         n_reading=n_reading,
         phi_reading=phi_reading,
     )
+
+
+def dual_readings(i: int, j: int, l: int, m: int, n: int) -> dict:
+    """N^{ij}_l(m, n) and phi^{ij}_l under every reading, keyed N_<reading> and phi_<reading>.
+
+    N does not depend on the phi reading, nor phi on the N reading, so one
+    evaluation per reading covers every combination.
+    """
+    table = {f"N_{reading}": mode_factor(i, j, l, m, n, reading) for reading in N_READINGS}
+    for reading in PHI_READINGS:
+        table[f"phi_{reading}"] = phi_factor(i, j, l, reading)
+    return table
 
 
 def classical_coefficient(s: int, m: int, t: int, n: int) -> int:

@@ -196,3 +196,88 @@ def test_wconst_output(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
     assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--lambda", "2", "--alpha", "inf,-inf", "--dim", "16"),
+        ("--lambda", "2", "--alpha", "nan,nan", "--dim", "16"),
+        ("--lambda", "2", "--kappa", "inf", "--dim", "16"),
+        ("--lambda", "2", "--alpha", "0.5,-0.5", "--dim", "512"),
+        ("--lambda", "12", "--dim", "13"),
+    ],
+    ids=["alpha-inf", "alpha-nan", "kappa-inf", "dim-over-cap", "dim-below-lambda"],
+)
+def test_verify_rejects_invalid_input_before_grading(tmp_path, capsys, flags):
+    out_file = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", *flags, "--out", str(out_file))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not out_file.exists()
+
+
+def test_verify_wconst_is_realization_free(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "verify", "--lambda", "2", "--dim", "512", "--suite", "wconst",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    assert json.loads(out_file.read_text())["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("dim_text", ["Infinity", "NaN", "12.7"])
+def test_config_dim_must_be_whole(tmp_path, capsys, dim_text):
+    cfg = tmp_path / "params.json"
+    cfg.write_text('{"lambda": 2, "alpha": [0.5, -0.5], "dim": %s}' % dim_text)
+    out_file = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "verify", "--config", str(cfg), "--suite", "basic", "--out", str(out_file)
+    )
+    assert code == 2
+    assert "dim must be a whole number" in err
+    assert not out_file.exists()
+
+
+def test_config_dim_whole_float_accepted(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"lambda": 2, "alpha": [0.5, -0.5], "dim": 8.0}))
+    code, out, _ = run(capsys, "spectrum", "--config", str(cfg), "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 7
+
+
+def test_config_file_read_once(tmp_path, capsys, monkeypatch):
+    import cycosc.cli as cli
+
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"lambda": 2, "alpha": [0.5, -0.5], "dim": 8}))
+    reads = []
+    original = cli._load_config
+
+    def counting(args):
+        reads.append(args.config)
+        return original(args)
+
+    monkeypatch.setattr(cli, "_load_config", counting)
+    code, _, _ = run(capsys, "spectrum", "--config", str(cfg), "--format", "json")
+    assert code == 0
+    assert reads == [str(cfg)]
+
+
+def test_wconst_dual_readings_match_structure(capsys):
+    from cycosc.winf import winf_structure
+
+    code, out, _ = run(
+        capsys, "wconst", "--i", "2", "--j", "1", "--l", "1", "--m", "2", "--n", "-1",
+        "--format", "json",
+    )
+    assert code == 0
+    both = json.loads(out)["dual_readings"]
+    for nr in ("literal", "alt"):
+        for pr in ("literal", "alt"):
+            const = winf_structure(2, 1, 1, 2, -1, n_reading=nr, phi_reading=pr)
+            assert both[f"N_{nr}"] == const.value_N
+            assert both[f"phi_{pr}"] == const.value_phi

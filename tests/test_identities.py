@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cycosc.errors import IndexOutOfRealization, WrongLambda
+from cycosc.errors import DimTooSmall, IndexOutOfRealization, WrongLambda
 from cycosc.fock import build_rep
 from cycosc.identities import (
     check_basic,
@@ -402,3 +402,16 @@ def test_run_suite_never_aborts(monkeypatch, params_l2):
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert len(failed) == 1
     assert "synthetic failure" in failed[0]["fitted"]["error"]
+
+
+def test_run_suite_refuses_unbuildable_dim(params_l2):
+    with pytest.raises(ValueError):
+        run_suite(params_l2, 512, ("basic",))
+    with pytest.raises(DimTooSmall):
+        run_suite(validate_alpha(12, (0.0,) * 12), 13)
+
+
+def test_run_suite_wconst_needs_no_realization(params_l2):
+    report = run_suite(params_l2, 512, ("wconst",))
+    assert report["summary"]["fail"] == 0
+    assert report["config"]["dim"] == 512

@@ -11,6 +11,7 @@ from cycosc.normal_order import (
     beta_tower_raw,
     geometric_f,
     kpoly_left_mul,
+    kpoly_mul,
     nf_add,
     nf_adjoint,
     nf_monomial,
@@ -222,3 +223,11 @@ def test_closed_form_deformed_comparison_is_recorded_shape(params_l2):
         for l in range(n + 1):
             vec = beta_closed_form(n, n + 3, l, params_l2)
             assert vec.shape == (2,)
+
+
+def test_kpoly_mul_is_cyclic():
+    x = np.array([1.0, 2.0, 0.0], dtype=complex)
+    y = np.array([0.0, 0.5j, 3.0], dtype=complex)
+    # (1 + 2K)(0.5i K + 3K^2) = 0.5i K + (3 + 1i) K^2 + 6 K^3, and K^3 = 1
+    assert np.allclose(kpoly_mul(x, y), [6.0, 0.5j, 3.0 + 1.0j])
+    assert np.allclose(kpoly_mul(x, y, -2.0), -2.0 * kpoly_mul(x, y))

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycosc.errors import BadLength, NotHermitian, NotReal, SumNotZero, UnitarityBound
+from cycosc.errors import (
+    BadLength,
+    NotFinite,
+    NotHermitian,
+    NotReal,
+    SumNotZero,
+    UnitarityBound,
+)
 from cycosc.params import (
     alpha_from_kappa,
     kappa_from_alpha,
@@ -128,3 +135,16 @@ def test_reality_guard():
     # lam = 4 kappa with kappa_2 imaginary violates kappa_2* = kappa_2
     with pytest.raises((NotHermitian, NotReal)):
         alpha_from_kappa(4, [0.1, 0.2j, 0.1])
+
+
+@pytest.mark.parametrize(
+    "alpha", [(float("inf"), float("-inf")), (float("nan"), float("nan")), (0.0, float("nan"))]
+)
+def test_non_finite_alpha_rejected(alpha):
+    with pytest.raises(NotFinite):
+        validate_alpha(2, alpha)
+
+
+def test_non_finite_kappa_rejected():
+    with pytest.raises(NotFinite):
+        params_from_kappa(2, [complex(float("inf"), 0.0)])

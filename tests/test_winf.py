@@ -6,6 +6,7 @@ from cycosc.winf import (
     central_charge,
     central_term,
     classical_coefficient,
+    dual_readings,
     falling,
     mode_factor,
     phi_factor,
@@ -111,3 +112,14 @@ def test_classical_family_satisfies_jacobi():
             + c((u, p), (s, m)) * c(comp((u, p), (s, m)), (t, n))
         )
         assert total == 0
+
+
+def test_dual_readings_cover_every_reading_pair():
+    for i, j, l in [(0, 0, 0), (1, 2, 1), (3, 3, 2)]:
+        table = dual_readings(i, j, l, 1, -1)
+        assert set(table) == {"N_literal", "N_alt", "phi_literal", "phi_alt"}
+        for nr in ("literal", "alt"):
+            for pr in ("literal", "alt"):
+                const = winf_structure(i, j, l, 1, -1, n_reading=nr, phi_reading=pr)
+                assert table[f"N_{nr}"] == const.value_N
+                assert table[f"phi_{pr}"] == const.value_phi
