@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import CycoscError, ParseError
+from .errors import CycoscError
 from .expr import parse
 from .fock import build_rep, dump_matrices, spectrum, spectrum_closed_form
 from .identities import SUITES, run_suite
@@ -29,6 +29,7 @@ from .params import (
     params_from_json,
     params_from_kappa,
     validate_alpha,
+    whole_number,
 )
 from .winf import N_READINGS, PHI_READINGS, dual_readings, winf_structure
 
@@ -72,7 +73,7 @@ class _IOFailure(Exception):
 
 def _resolve_params(args, cfg: dict) -> AlgebraParams:
     """Merge the config with inline flags; flags win."""
-    lam = int(args.lam if args.lam is not None else cfg.get("lambda", 2))
+    lam = whole_number(args.lam if args.lam is not None else cfg.get("lambda", 2), "lambda")
     if args.alpha and args.kappa:
         raise CycoscError("give at most one of --alpha / --kappa")
     if args.alpha:
@@ -90,10 +91,7 @@ def _resolve_params(args, cfg: dict) -> AlgebraParams:
 
 
 def _resolve_dim(args, cfg: dict) -> int:
-    dim = args.dim if args.dim is not None else cfg.get("dim", 64)
-    if isinstance(dim, float) and not dim.is_integer():
-        raise CycoscError(f"dim must be a whole number, got {dim}")
-    return int(dim)
+    return whole_number(args.dim if args.dim is not None else cfg.get("dim", 64), "dim")
 
 
 def _emit(text: str, out_path: str | None):
@@ -108,12 +106,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def _write_matrix_dump(rep, path: str):
-    payload = json.dumps(dump_matrices(rep), sort_keys=True, indent=2) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as err:
-        raise _IOFailure(f"cannot write {path}: {err}") from err
+    _emit(json.dumps(dump_matrices(rep), sort_keys=True, indent=2) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +273,14 @@ def _add_param_flags(sub):
                      help="comma-separated alpha vector, e.g. 0.5,-0.5")
     sub.add_argument("--kappa", default=None,
                      help="comma-separated kappa values, re or re:im, e.g. 0.3:0.1,0.3:-0.1")
-    sub.add_argument("--dim", type=int, default=None, help="truncation dimension (default 64)")
     sub.add_argument("--config", default=None, help="JSON parameter/config file")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_rep_flags(sub):
+    """Flags of the subcommands that build the Fock realization."""
+    sub.add_argument("--dim", type=int, default=None, help="truncation dimension (default 64)")
     sub.add_argument("--dump-matrices", dest="dump_matrices", default=None,
                      help="write generator matrices as JSON to this path")
 
@@ -298,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("spectrum", help="Hamiltonian levels vs the closed form")
     _add_param_flags(sp)
+    _add_rep_flags(sp)
     sp.set_defaults(func=cmd_spectrum)
 
     nf = subs.add_parser("nf", help="normal form of an operator expression")
@@ -317,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = subs.add_parser("verify", help="run identity suites and emit the report")
     _add_param_flags(vf)
+    _add_rep_flags(vf)
     vf.add_argument("--suite", default=None,
                     help=f"comma list from {{{','.join(SUITES)}}} or 'all' (default)")
     vf.add_argument("--strict-paper", dest="strict_paper", action="store_true",
@@ -351,16 +350,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError,) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except _IOFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    except CycoscError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, json.JSONDecodeError) as err:
+    except (CycoscError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

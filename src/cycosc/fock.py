@@ -19,7 +19,6 @@ n <= D - 1 - W (the "safe window").
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +34,11 @@ from .errors import (
 from .params import AlgebraParams
 
 
-def structure_function(params: AlgebraParams, n: int) -> float:
-    """F(n) = n + beta_{n mod lam}; raises NegativeLevel for n < 0."""
-    if n < 0:
-        raise NegativeLevel(f"level {n} < 0")
-    return n + params.beta[n % params.lam]
+def structure_function(params: AlgebraParams, n):
+    """F(n) = n + beta_{n mod lam} for a level or array of levels; raises NegativeLevel below 0."""
+    if np.any(np.asarray(n) < 0):
+        raise NegativeLevel(f"level {np.min(n)} < 0")
+    return n + np.asarray(params.beta)[n % params.lam]
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,6 @@ class SafeWindow:
     def __post_init__(self):
         if not (0 <= self.lo <= self.hi):
             raise EmptyWindow(f"invalid window [{self.lo}, {self.hi}]")
-
-    def width(self) -> int:
-        return self.hi - self.lo + 1
 
 
 @dataclass(frozen=True)
@@ -110,30 +106,25 @@ def build_rep(params: AlgebraParams, dim: int) -> FockRep:
         raise ValueError(f"dim {dim} exceeds the dense-matrix cap {DIM_CAP}")
 
     levels = np.arange(dim)
-    f_vals = np.array([structure_function(params, int(n)) for n in range(dim + 1)])
+    f_vals = structure_function(params, np.arange(dim + 1))
     if np.any(f_vals[1:dim] <= 0.0):
         bad = int(np.argmax(f_vals[1:dim] <= 0.0)) + 1
         raise NonPositiveF(f"F({bad}) = {f_vals[bad]} <= 0")
 
+    # K and P_mu depend only on a level's residue: one lam-entry table each,
+    # P_mu from the literal root-of-unity sum.  The residues are numpy ints, as
+    # `levels % lam` is, so the complex division by lam rounds the same way.
+    residues = np.arange(lam)
+    phase = np.array([cmath.exp(2j * cmath.pi * d / lam) for d in residues])
+    root_sum = np.array(
+        [sum(cmath.exp(2j * cmath.pi * nu * d / lam) for nu in range(lam)) / lam
+         for d in residues]
+    )
     mat_n = np.diag(levels.astype(complex))
-    mat_k = np.diag(np.array([cmath.exp(2j * cmath.pi * (n % lam) / lam) for n in levels]))
-
-    # Projectors built from the literal root-of-unity sums.
-    mat_p = []
-    for mu in range(lam):
-        diag = np.zeros(dim, dtype=complex)
-        for n in levels:
-            acc = 0.0 + 0.0j
-            for nu in range(lam):
-                acc += cmath.exp(2j * cmath.pi * nu * ((n - mu) % lam) / lam)
-            diag[n] = acc / lam
-        mat_p.append(np.diag(diag))
-
-    mat_a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        mat_a[n - 1, n] = math.sqrt(f_vals[n])
+    mat_k = np.diag(phase[levels % lam])
+    mat_p = [np.diag(root_sum[(levels - mu) % lam]) for mu in range(lam)]
+    mat_a = np.diag(np.sqrt(f_vals[1:dim]).astype(complex), 1)
     mat_adag = mat_a.conj().T
-
     mat_h0 = 0.5 * (mat_a @ mat_adag + mat_adag @ mat_a)
 
     rep = FockRep(
@@ -154,10 +145,10 @@ def build_rep(params: AlgebraParams, dim: int) -> FockRep:
 def spectrum(rep: FockRep) -> np.ndarray:
     """Sorted eigenvalues of H0 on the uncorrupted block 0..D-2.
 
-    The top level D-1 is discarded because a a+ needs level D there.
+    H0 is diagonal in the Fock basis, so these are its sorted diagonal.  The
+    top level D-1 is discarded because a a+ needs level D there.
     """
-    block = rep.mat_h0[: rep.dim - 1, : rep.dim - 1]
-    return np.sort(np.linalg.eigvalsh(block))
+    return np.sort(rep.mat_h0.diagonal()[: rep.dim - 1].real)
 
 
 def spectrum_closed_form(params: AlgebraParams, count: int) -> np.ndarray:
@@ -224,12 +215,10 @@ def dump_matrices(rep: FockRep) -> dict:
     """Sparse JSON-friendly dump of every generator matrix."""
 
     def encode(mat: np.ndarray) -> dict:
-        entries = []
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                v = mat[i, j]
-                if v != 0:
-                    entries.append([int(i), int(j), float(v.real), float(v.imag)])
+        entries = [
+            [int(i), int(j), float(mat[i, j].real), float(mat[i, j].imag)]
+            for i, j in zip(*np.nonzero(mat))
+        ]
         return {"rows": int(mat.shape[0]), "cols": int(mat.shape[1]), "entries": entries}
 
     out = {

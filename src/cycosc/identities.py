@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .errors import IndexOutOfRealization, WrongLambda
+from .errors import EmptyWindow, IndexOutOfRealization, WrongLambda
 from .fock import FockRep, SafeWindow, apply_word, build_rep, window_residual
 from .normal_order import (
     NormalForm,
@@ -174,6 +174,15 @@ def _c2(value: complex):
     return [float(value.real), float(value.imag)]
 
 
+def _kpoly(params: AlgebraParams, c0, term) -> np.ndarray:
+    """The K-polynomial [c0, term(kappa_1, 1), ..., term(kappa_{lam-1}, lam-1)].
+
+    `term` gets kappa_r so that each printed product keeps its operand order.
+    """
+    rest = [term(params.kappa[r - 1], r) for r in range(1, params.lam)]
+    return np.array([c0, *rest], dtype=complex)
+
+
 def _mono_expr(s: int, m: int) -> ex.OperatorExpr:
     """Expression for (a+)^s a^m."""
     parts = []
@@ -229,6 +238,15 @@ def check_basic(params: AlgebraParams, dim: int) -> list:
         checks.append(_verdict(check_id, window, worst_gate, worst_paper))
 
     proj = [ex.Proj(mu) for mu in range(lam)]
+
+    def on_proj(coeffs, shift):
+        """Terms of sum_mu coeffs[mu] P_{mu+shift}."""
+        return [ex.scaled(coeffs[mu], proj[(mu + shift) % lam]) for mu in range(lam)]
+
+    def on_klein(coeff, start):
+        """Terms of sum_r coeff(r) K^r for r = start..lam-1."""
+        return [ex.scaled(coeff(r), ex.Power(ex.KLEIN, r)) for r in range(start, lam)]
+
     add("basic.number_raise", [(ex.Commutator(ex.NUM, ex.AD), ex.AD)])
     add("basic.number_lower", [(ex.Commutator(ex.NUM, ex.A), ex.negated(ex.A))])
     add("basic.number_klein", [(ex.Commutator(ex.NUM, ex.KLEIN), None)])
@@ -250,67 +268,28 @@ def check_basic(params: AlgebraParams, dim: int) -> list:
             for mu in range(lam)
         ],
     )
-    add(
-        "basic.bracket_alpha",
-        [
-            (
-                ex.Commutator(ex.A, ex.AD),
-                ex.summed(
-                    ex.ONE,
-                    *[ex.scaled(params.alpha[mu], proj[mu]) for mu in range(lam)],
-                ),
-            )
-        ],
-    )
-    add(
-        "basic.bracket_kappa",
-        [
-            (
-                ex.Commutator(ex.A, ex.AD),
-                ex.summed(
-                    ex.ONE,
-                    *[
-                        ex.scaled(params.kappa[r - 1], ex.Power(ex.KLEIN, r))
-                        for r in range(1, lam)
-                    ],
-                ),
-            )
-        ],
-    )
+    bracket = ex.Commutator(ex.A, ex.AD)
+    add("basic.bracket_alpha", [(bracket, ex.summed(ex.ONE, *on_proj(params.alpha, 0)))])
+    kappa_sum = ex.summed(ex.ONE, *on_klein(lambda r: params.kappa[r - 1], 1))
+    add("basic.bracket_kappa", [(bracket, kappa_sum)])
     add("basic.klein_ad", [(ex.word(ex.AD, ex.KLEIN), ex.scaled(x, ex.word(ex.KLEIN, ex.AD)))])
     add(
         "basic.klein_a",
         [(ex.word(ex.A, ex.KLEIN), ex.scaled(x.conjugate(), ex.word(ex.KLEIN, ex.A)))],
     )
     # structure function: a+ a = F(N) and a a+ = F(N+1), expanded over projectors
-    f_of_n = ex.summed(
-        ex.NUM, *[ex.scaled(params.beta[mu], proj[mu]) for mu in range(lam)]
-    )
-    f_of_n1 = ex.summed(
-        ex.NUM,
-        ex.ONE,
-        *[ex.scaled(params.beta[mu % lam], proj[(mu - 1) % lam]) for mu in range(lam)],
-    )
+    f_of_n = ex.summed(ex.NUM, *on_proj(params.beta, 0))
+    f_of_n1 = ex.summed(ex.NUM, ex.ONE, *on_proj(params.beta, -1))
     add("basic.struct_lower", [(ex.word(ex.AD, ex.A), f_of_n)])
     add("basic.struct_raise", [(ex.word(ex.A, ex.AD), f_of_n1)])
     # projector from Klein powers with the 1/lam normalization
-    pairs = []
-    for mu in range(lam):
-        klein_sum = ex.summed(
-            *[
-                ex.scaled(root_power(lam, mu * nu) / lam, ex.Power(ex.KLEIN, nu))
-                for nu in range(lam)
-            ]
-        )
-        pairs.append((proj[mu], klein_sum))
-    add("basic.proj_klein_sum", pairs)
+    add("basic.proj_klein_sum", [
+        (proj[mu], ex.summed(*on_klein(lambda nu: root_power(lam, mu * nu) / lam, 0)))
+        for mu in range(lam)
+    ])
     # Hamiltonian: (1/2){a, a+} equals N + 1/2 + sum gamma_mu P_mu
     h_words = ex.scaled(0.5, ex.Anticommutator(ex.A, ex.AD))
-    h_shift = ex.summed(
-        ex.NUM,
-        ex.scaled(0.5, ex.ONE),
-        *[ex.scaled(params.gamma[mu], proj[mu]) for mu in range(lam)],
-    )
+    h_shift = ex.summed(ex.NUM, ex.scaled(0.5, ex.ONE), *on_proj(params.gamma, 0))
     add("basic.hamiltonian_shift", [(h_words, h_shift)])
     if lam == 2:
         add("basic.klein_anticommute", [(ex.Anticommutator(ex.KLEIN, ex.AD), None)])
@@ -363,15 +342,6 @@ def check_single_mode(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
 # general reordering
 
 
-def _bracket(F, t, phase) -> np.ndarray:
-    """Left K-polynomial of one printed bracket (t + F x^e), with phase = x^e."""
-    poly = np.zeros(len(F.vec), dtype=complex)
-    poly[0] = t
-    for r in range(1, len(poly)):
-        poly[r] = F.vec[r] * phase
-    return poly
-
-
 def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCheck:
     """[a^n, (a+)^m]: oracle cross-check plus the literal double-sum assembly.
 
@@ -394,7 +364,8 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
         rhs = nf_zero(lam)
         for alpha in range(n):
             # one bracket (m + F x^alpha); x^alpha is a scalar power
-            pref = _bracket(prefactor, m, root_power(lam, alpha))
+            phase = root_power(lam, alpha)
+            pref = _kpoly(params, m, lambda _, r: prefactor.vec[r] * phase)
             for l in range(min(alpha + 1, m)):
                 combined = kpoly_mul(pref, betas[l])
                 rhs = nf_add(rhs, kpoly_left_mul(combined, m - l - 1, n - l - 1, lam))
@@ -453,12 +424,9 @@ def check_virasoro(params: AlgebraParams, dim: int, m: int, n: int) -> IdentityC
         res_paper = d.against(None, nf_to_matrix(nf_monomial(lam, m + 1, 1, 0), rep))
         return _verdict(check_id, d.window, d.gate, res_paper, fitted={"sigma": virasoro_sign(lam)})
 
-    poly = np.zeros(lam, dtype=complex)
-    poly[0] = m - n
-    for r in range(1, lam):
-        poly[r] = params.kappa[r - 1] * (
-            root_power(lam, -r * (n + 1)) - root_power(lam, -r * (m + 1))
-        )
+    poly = _kpoly(params, m - n, lambda k, r: k * (
+        root_power(lam, -r * (n + 1)) - root_power(lam, -r * (m + 1))
+    ))
     return _ladder(params, dim, check_id, m, n, poly)
 
 
@@ -500,14 +468,14 @@ def check_klein_virasoro(params: AlgebraParams, dim: int, m: int) -> IdentityChe
     return _verdict(f"klein_v.m{m}", d.window, d.gate, res_paper, max(res_fit, d.gate), fitted)
 
 
-def check_lambda2(params: AlgebraParams, dim: int, indices=(0, 1, 2)) -> list:
+def check_lambda2(params: AlgebraParams, dim: int) -> list:
     """Order-two case: even/even, odd/odd and even/odd ladder brackets."""
     if params.lam != 2:
         raise WrongLambda(f"order-two suite needs lam = 2, got {params.lam}")
     kappa1 = params.kappa[0]
     checks = []
-    for k in indices:
-        for l in indices:
+    for k in range(3):
+        for l in range(3):
             # even/even: claim (2k - 2l) l_{2k+2l}, no deformation term
             checks.append(_ladder(params, dim, f"lambda2.ee.k{k}.l{l}", 2 * k, 2 * l,
                                   [2 * k - 2 * l, 0]))
@@ -517,7 +485,7 @@ def check_lambda2(params: AlgebraParams, dim: int, indices=(0, 1, 2)) -> list:
             # even/odd: claim 2(l - k) l + (1 - 2 kappa_1 K) l at index 2k+2l+1
             checks.append(_ladder(params, dim, f"lambda2.eo.k{k}.l{l}", 2 * k, 2 * l + 1,
                                   [2 * (l - k) + 1, -2 * kappa1]))
-    for k in indices:
+    for k in range(3):
         for parity, em, claimed in (("even", 2 * k, 2.0), ("odd", 2 * k + 1, 0.0)):
             d, res_paper, c_fit, res_fit = _klein(params, dim, _ell_expr(em), em + 1, 1, claimed)
             fitted = {"coefficient": _c2(c_fit), "claimed": _c2(complex(claimed))}
@@ -541,7 +509,8 @@ def _xi_side(params: AlgebraParams, s: int, m: int, t: int):
     F = f_kpoly(params, t + 1, "paper")
     out = []
     for l in range(m):
-        pref = _bracket(F, t, root_power(params.lam, l + s))
+        phase = root_power(params.lam, l + s)
+        pref = _kpoly(params, t, lambda _, r: F.vec[r] * phase)
         beta = beta_closed_form(m, t + 1, l, params, subst=s)
         out.append((m - l) * kpoly_mul(pref, beta))
     return out
@@ -615,24 +584,15 @@ def check_sp2(params: AlgebraParams, dim: int) -> list:
         checks.append(_verdict(check_id, d.window, d.gate, res_paper, fitted=fitted))
 
     # [w^0_1, w^1_1] claimed [sum kappa_r K^r (1 - x) + 1] w^0_1
-    poly = np.zeros(lam, dtype=complex)
-    poly[0] = 1.0
-    for r in range(1, lam):
-        poly[r] = params.kappa[r - 1] * (1.0 - x)
+    poly = _kpoly(params, 1.0, lambda k, r: k * (1.0 - x))
     entry("sp2.low_mid", 0, 1, 1, 1, poly, 0, 1)
 
     # [w^2_1, w^1_1] claimed [sum kappa_r K^r (1 + x^r) x (x - 1) - 1] w^2_1
-    poly = np.zeros(lam, dtype=complex)
-    poly[0] = -1.0
-    for r in range(1, lam):
-        poly[r] = params.kappa[r - 1] * (1.0 + root_power(lam, r)) * x * (x - 1.0)
+    poly = _kpoly(params, -1.0, lambda k, r: k * (1.0 + root_power(lam, r)) * x * (x - 1.0))
     entry("sp2.high_mid", 2, 1, 1, 1, poly, 2, 1)
 
     # [w^2_1, w^0_1] claimed [sum kappa_r K^r (1 + x^r) (x^2 - 1) - 2] w^1_1
-    poly = np.zeros(lam, dtype=complex)
-    poly[0] = -2.0
-    for r in range(1, lam):
-        poly[r] = params.kappa[r - 1] * (1.0 + root_power(lam, r)) * (x * x - 1.0)
+    poly = _kpoly(params, -2.0, lambda k, r: k * (1.0 + root_power(lam, r)) * (x * x - 1.0))
     entry("sp2.high_low", 2, 1, 0, 1, poly, 1, 1)
     return checks
 
@@ -657,23 +617,15 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
         ]
 
     # published right side: first piece on (a+)^2 a^2, second on a+ a
-    poly22 = np.zeros(lam, dtype=complex)
-    for r in range(1, lam):
-        xr = root_power(lam, r)
-        poly22[r] = (
-            0.5
-            * params.kappa[r - 1]
-            * (root_power(lam, 3 * r) - (1.0 + xr) * x - (xr + root_power(lam, 2 * r)) * x + 1.0)
-            * (x - 1.0)
-        )
-    bracket_a = np.zeros(lam, dtype=complex)  # sum kappa_r K^r (x^r + x^{2r}) x - 1
-    bracket_a[0] = -1.0
-    for r in range(1, lam):
-        bracket_a[r] = params.kappa[r - 1] * (root_power(lam, r) + root_power(lam, 2 * r)) * x
-    bracket_b = np.zeros(lam, dtype=complex)  # 1 + (1/2) sum kappa_r K^r (1 + x^r)
-    bracket_b[0] = 1.0
-    for r in range(1, lam):
-        bracket_b[r] = 0.5 * params.kappa[r - 1] * (1.0 + root_power(lam, r))
+    def xs(j: int) -> complex:
+        return root_power(lam, j)
+
+    poly22 = _kpoly(params, 0.0, lambda k, r: (
+        0.5 * k * (xs(3 * r) - (1.0 + xs(r)) * x - (xs(r) + xs(2 * r)) * x + 1.0) * (x - 1.0)
+    ))
+    # sum kappa_r K^r (x^r + x^{2r}) x - 1, and 1 + (1/2) sum kappa_r K^r (1 + x^r)
+    bracket_a = _kpoly(params, -1.0, lambda k, r: k * (xs(r) + xs(2 * r)) * x)
+    bracket_b = _kpoly(params, 1.0, lambda k, r: 0.5 * k * (1.0 + xs(r)))
     poly11 = kpoly_mul(bracket_a, bracket_b, 1.0 - x)
     rhs_nf = nf_add(
         kpoly_left_mul(poly22, 2, 2, lam), kpoly_left_mul(poly11, 1, 1, lam)
@@ -735,7 +687,6 @@ def default_grids() -> dict:
             for n in range(4)
         ],
         "klein_w": [(s, m) for s in range(5) for m in range(5)],
-        "lambda2_indices": [0, 1, 2],
     }
 
 
@@ -749,8 +700,9 @@ def run_suite(
     """Execute the selected check suites and assemble the JSON-ready report.
 
     A truncation the realization refuses raises before any check is graded
-    (unless only the realization-free `wconst` suite is selected); after
-    that, per-check errors become failed entries and the suite never aborts.
+    (unless only the realization-free `wconst` suite is selected), and one
+    that leaves a check no exact column raises EmptyWindow naming the check;
+    other per-check errors become failed entries and the suite never aborts.
     Reports are byte-deterministic for a fixed configuration.
     """
     selection = tuple(selection)
@@ -770,6 +722,8 @@ def run_suite(
     def guarded(label, fn, *args, **kwargs):
         try:
             result = fn(*args, **kwargs)
+        except EmptyWindow as err:  # a truncation too small for the check is not graded
+            raise EmptyWindow(f"{label} needs more levels than dim {dim}: {err}") from err
         except Exception as err:  # noqa: BLE001 - reported, never fatal
             checks.append(_ungraded(label, "fail", {"error": f"{type(err).__name__}: {err}"}))
             return
@@ -794,7 +748,7 @@ def run_suite(
             guarded(f"klein_v.m{m}", check_klein_virasoro, params, dim, m)
     if "lambda2" in chosen:
         if params.lam == 2:
-            guarded("lambda2", check_lambda2, params, dim, grids["lambda2_indices"])
+            guarded("lambda2", check_lambda2, params, dim)
         else:
             checks.append(_ungraded("lambda2", "not-applicable"))
     if "winf" in chosen:

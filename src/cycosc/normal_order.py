@@ -91,7 +91,7 @@ def nf_sub(x: NormalForm, y: NormalForm) -> NormalForm:
     return nf_add(x, nf_scale(y, -1.0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _a_times_adpow(lam: int, kappa: tuple, p: int) -> tuple:
     """Normal form of a (a+)^p as a tuple of ((p,q,r), coeff)."""
     if p == 0:
@@ -108,7 +108,7 @@ def _a_times_adpow(lam: int, kappa: tuple, p: int) -> tuple:
     return tuple(sorted(terms.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _reorder_core(lam: int, kappa: tuple, q: int, p: int) -> tuple:
     """Normal form of a^q (a+)^p as a tuple of ((p,q,r), coeff)."""
     if q == 0:
@@ -393,7 +393,6 @@ def beta_closed_form(
     m: int,
     l: int,
     params: AlgebraParams,
-    f_variant: str = "paper",
     subst: int = 1,
 ) -> np.ndarray:
     """Literal evaluation of the printed tower coefficient beta_l.
@@ -406,7 +405,7 @@ def beta_closed_form(
     if not (0 <= l <= n):
         raise BadRange(f"need 0 <= l <= n, got l={l}, n={n}")
     lam = params.lam
-    F = f_kpoly(params, m, f_variant)
+    F = f_kpoly(params, m, "paper")
 
     def xs(j: int) -> complex:
         return root_power(lam, j * subst)

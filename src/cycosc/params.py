@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, NotFinite, NotHermitian, NotReal, SumNotZero, UnitarityBound
+from .errors import (
+    BadLength, CycoscError, NotFinite, NotHermitian, NotReal, SumNotZero, UnitarityBound,
+)
 
 SUM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -69,15 +71,17 @@ class AlgebraParams:
     def is_deformed(self) -> bool:
         return any(abs(k) > 1e-14 for k in self.kappa)
 
-    def kappa_full(self) -> np.ndarray:
-        """Length-lam coefficient vector with the r = 0 slot fixed to 0."""
-        out = np.zeros(self.lam, dtype=complex)
-        out[1:] = self.kappa
-        return out
 
-    def structure_shift(self, n: int) -> float:
-        """beta_{n mod lam}, the deformation shift entering F(n)."""
-        return self.beta[n % self.lam]
+def whole_number(value, name: str) -> int:
+    """`value` as an int: an int, or a float with no fractional part.
+
+    Raises CycoscError for anything else (12.7, inf, NaN, null, a list).
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise CycoscError(f"{name} must be a whole number, got {value}")
 
 
 def validate_alpha(lam: int, alpha) -> AlgebraParams:
@@ -177,7 +181,7 @@ def params_from_json(obj) -> AlgebraParams:
         obj = json.loads(obj)
     if "lambda" not in obj:
         raise BadLength("parameter object must carry a 'lambda' field")
-    lam = int(obj["lambda"])
+    lam = whole_number(obj["lambda"], "lambda")
     has_alpha = "alpha" in obj
     has_kappa = "kappa" in obj
     if has_alpha == has_kappa:

@@ -281,3 +281,50 @@ def test_wconst_dual_readings_match_structure(capsys):
             const = winf_structure(2, 1, 1, 2, -1, n_reading=nr, phi_reading=pr)
             assert both[f"N_{nr}"] == const.value_N
             assert both[f"phi_{pr}"] == const.value_phi
+
+
+@pytest.mark.parametrize(
+    "cfg_text",
+    [
+        '{"lambda": null, "alpha": [0.5, -0.5], "dim": 16}',
+        '{"lambda": 2, "alpha": [0.5, -0.5], "dim": null}',
+        '{"lambda": 2, "alpha": [0.5, -0.5], "dim": [64]}',
+    ],
+    ids=["lambda-null", "dim-null", "dim-list"],
+)
+def test_config_values_must_be_whole_numbers(tmp_path, capsys, cfg_text):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(cfg_text)
+    out_file = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--config", str(cfg), "--suite", "basic", "--out", str(out_file)
+    )
+    assert code == 2
+    assert "must be a whole number" in err
+    assert out == ""
+    assert not out_file.exists()
+
+
+def test_verify_refuses_dim_too_small_for_a_check(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--lambda", "2", "--alpha", "0.5,-0.5", "--dim", "12",
+        "--out", str(out_file),
+    )
+    assert code == 2
+    assert err.startswith("error: lambda2 ") and "dim 12" in err
+    assert out == ""
+    assert not out_file.exists()
+    code, _, _ = run(
+        capsys, "verify", "--lambda", "2", "--alpha", "0.5,-0.5", "--dim", "13",
+        "--out", str(out_file),
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", [("nf", "a"), ("commutator", "a", "ad")])
+@pytest.mark.parametrize("flag", [("--dim", "3"), ("--dump-matrices", "x.json")])
+def test_rewrite_commands_take_no_realization_flags(capsys, command, flag):
+    code, out, _ = run(capsys, *command, *flag)
+    assert code == 2
+    assert out == ""

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -156,3 +157,65 @@ def test_dump_matrices_roundtrip(params_l2):
     for i, j, re, im in a["entries"]:
         rebuilt[i, j] = complex(re, im)
     assert np.max(np.abs(rebuilt - rep.mat_a)) < 1e-15
+
+
+def _literal_tables(params, dim):
+    """K, P_mu and a from the per-level loops the realization is defined by.
+
+    Levels are numpy ints, whose complex division by lam numpy rounds
+    differently from Python's at some lam (6 and 9 among 2..9).
+    """
+    lam = params.lam
+    levels = np.arange(dim)
+    k = np.diag([cmath.exp(2j * cmath.pi * (n % lam) / lam) for n in levels])
+    projectors = []
+    for mu in range(lam):
+        diag = np.zeros(dim, dtype=complex)
+        for n in levels:
+            acc = 0.0 + 0.0j
+            for nu in range(lam):
+                acc += cmath.exp(2j * cmath.pi * nu * ((n - mu) % lam) / lam)
+            diag[n] = acc / lam
+        projectors.append(np.diag(diag))
+    a = np.zeros((dim, dim), dtype=complex)
+    for n in range(1, dim):
+        a[n - 1, n] = math.sqrt(structure_function(params, n))
+    return k, projectors, a
+
+
+@pytest.mark.parametrize("lam", range(2, 10))
+def test_build_rep_matches_literal_loops(lam, rng):
+    head = rng.uniform(-0.1, 0.1, lam - 1)
+    params = validate_alpha(lam, np.append(head, -head.sum()))
+    for dim in (lam + 2, 2 * lam + 3, 40):
+        rep = build_rep(params, dim)
+        k, projectors, a = _literal_tables(params, dim)
+        assert np.array_equal(rep.mat_k, k)
+        assert all(np.array_equal(p, q) for p, q in zip(rep.mat_p, projectors, strict=True))
+        assert np.array_equal(rep.mat_a, a)
+        assert np.array_equal(rep.mat_adag, a.conj().T)
+
+
+@pytest.mark.parametrize("lam, dim", [(2, 16), (3, 40), (5, 64)])
+def test_spectrum_is_sorted_eigensolve(lam, dim):
+    alpha = [0.0] * lam
+    alpha[0], alpha[-1] = 0.4, -0.4
+    rep = build_rep(validate_alpha(lam, alpha), dim)
+    block = rep.mat_h0[: dim - 1, : dim - 1]
+    assert np.max(np.abs(spectrum(rep) - np.sort(np.linalg.eigvalsh(block)))) < 1e-12
+
+
+def test_dump_matrices_matches_entry_loop(params_l3):
+    rep = build_rep(params_l3, 9)
+    blob = dump_matrices(rep)
+    named = {"N": rep.mat_n, "K": rep.mat_k, "a": rep.mat_a, "ad": rep.mat_adag, "H0": rep.mat_h0}
+    named.update({f"P{mu}": p for mu, p in enumerate(rep.mat_p)})
+    assert set(blob) == set(named)
+    for key, mat in named.items():
+        entries = [
+            [i, j, float(mat[i, j].real), float(mat[i, j].imag)]
+            for i in range(9)
+            for j in range(9)
+            if mat[i, j] != 0
+        ]
+        assert blob[key] == {"rows": 9, "cols": 9, "entries": entries}

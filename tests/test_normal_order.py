@@ -231,3 +231,14 @@ def test_kpoly_mul_is_cyclic():
     # (1 + 2K)(0.5i K + 3K^2) = 0.5i K + (3 + 1i) K^2 + 6 K^3, and K^3 = 1
     assert np.allclose(kpoly_mul(x, y), [6.0, 0.5j, 3.0 + 1.0j])
     assert np.allclose(kpoly_mul(x, y, -2.0), -2.0 * kpoly_mul(x, y))
+
+
+def test_rewrite_memo_is_bounded():
+    from cycosc import normal_order
+
+    word = parse("[a^3, ad^3]")
+    for i in range(400):
+        shift = 0.3 * i / 400
+        normal_form(word, validate_alpha(2, (shift, -shift)))
+    assert normal_order._reorder_core.cache_info().currsize <= 1024
+    assert normal_order._a_times_adpow.cache_info().currsize <= 1024

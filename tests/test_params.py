@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cycosc.errors import (
     BadLength,
+    CycoscError,
     NotFinite,
     NotHermitian,
     NotReal,
@@ -17,6 +18,7 @@ from cycosc.params import (
     params_from_json,
     params_from_kappa,
     validate_alpha,
+    whole_number,
 )
 
 from conftest import random_valid_alpha
@@ -148,3 +150,13 @@ def test_non_finite_alpha_rejected(alpha):
 def test_non_finite_kappa_rejected():
     with pytest.raises(NotFinite):
         params_from_kappa(2, [complex(float("inf"), 0.0)])
+
+
+def test_whole_number():
+    assert whole_number(3, "lambda") == 3
+    assert whole_number(8.0, "dim") == 8
+    for bad in (12.7, float("inf"), float("nan"), None, [64], "3", True):
+        with pytest.raises(CycoscError, match="must be a whole number"):
+            whole_number(bad, "dim")
+    with pytest.raises(CycoscError, match="lambda must be a whole number, got None"):
+        params_from_json({"lambda": None, "alpha": [0.0, 0.0]})
