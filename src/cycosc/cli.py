@@ -8,8 +8,8 @@ Subcommands:
     wconst       evaluate higher-spin structure constants and central charges
 
 Exit codes: 0 success (discrepancies included unless --strict-paper),
-1 identity failure under the active policy, 2 usage or parse errors,
-3 I/O errors.
+1 identity failure under the active policy, 2 usage or parse errors or a
+non-finite number in a JSON output, 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -105,8 +105,13 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _json(obj) -> str:
+    """The one JSON layout of every output; a non-finite number raises ValueError (exit 2)."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _write_matrix_dump(rep, path: str):
-    _emit(json.dumps(dump_matrices(rep), sort_keys=True, indent=2) + "\n", path)
+    _emit(_json(dump_matrices(rep)), path)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +137,7 @@ def cmd_spectrum(args) -> int:
         for n in range(dim - 1)
     ]
     if args.format == "json":
-        _emit(json.dumps(rows, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json(rows), args.out)
     else:
         lines = [f"{'n':>4}  {'energy':>18}  {'closed form':>18}  {'|diff|':>10}"]
         for row in rows:
@@ -171,15 +176,14 @@ def format_nf_json(nf: NormalForm) -> str:
         {"p": p, "q": q, "r": r, "re": c.real, "im": c.imag}
         for (p, q, r), c in nf.sorted_terms()
     ]
-    return json.dumps({"lambda": nf.lam, "terms": terms}, sort_keys=True, indent=2) + "\n"
+    return _json({"lambda": nf.lam, "terms": terms})
 
 
 def cmd_nf(args) -> int:
     params = _resolve_params(args, _load_config(args))
     tree = parse(args.expr)
     nf = normal_form(tree, params)
-    as_json = args.format == "json" or getattr(args, "as_json", False)
-    text = format_nf_json(nf) if as_json else format_nf_text(nf)
+    text = format_nf_json(nf) if args.format == "json" else format_nf_text(nf)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -202,7 +206,7 @@ def cmd_verify(args) -> int:
         n_reading=args.N_reading,
     )
     report["config"]["strict_paper"] = bool(args.strict_paper)
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    payload = _json(report)
     if args.out:
         _emit(payload, args.out)
     if args.dump_matrices:
@@ -247,7 +251,7 @@ def cmd_wconst(args) -> int:
         "dual_readings": both,
     }
     if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json(payload), args.out)
         return EXIT_OK
     lines = [
         f"c_{args.i} = {payload['c_i']}",
@@ -301,16 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     nf = subs.add_parser("nf", help="normal form of an operator expression")
     nf.add_argument("expr", help="expression, e.g. '[a, ad^3]'")
     _add_param_flags(nf)
-    nf.add_argument("--json", dest="as_json", action="store_true",
-                    help="shorthand for --format json")
     nf.set_defaults(func=cmd_nf)
 
     cm = subs.add_parser("commutator", help="normal form of [X, Y]")
     cm.add_argument("left")
     cm.add_argument("right")
     _add_param_flags(cm)
-    cm.add_argument("--json", dest="as_json", action="store_true",
-                    help="shorthand for --format json")
     cm.set_defaults(func=cmd_commutator)
 
     vf = subs.add_parser("verify", help="run identity suites and emit the report")

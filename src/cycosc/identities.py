@@ -17,6 +17,11 @@ the bracket and of the operands each check names (its target monomial, H0,
 or a defining relation's left side), also floored at 1; a claim that the
 bracket vanishes is normalized by the named operands alone.
 
+``FAMILIES`` is the one place where a check family is declared: the suite
+that runs it, its id prefix and index letters, its tolerance, its check
+function and its index grid.  ``SUITES``, ``TOL``, the entry labels and the
+dispatch of ``run_suite`` all come from it.
+
 The per-check ids, the fitted tables and the deterministic report layout are
 the package's external wire format; see ``run_suite``.
 """
@@ -25,7 +30,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,31 +58,39 @@ from .params import AlgebraParams, root_power, validate_alpha
 from .winf import central_charge, central_term, dual_readings, winf_structure
 
 GATE_TOL = 1e-8
-TOL = {
-    "basic": 1e-12,
-    "single": 1e-8,
-    "general": 1e-8,
-    "virasoro": 1e-8,
-    "klein_v": 1e-10,
-    "lambda2": 1e-8,
-    "winf": 1e-8,
-    "klein_w": 1e-10,
-    "sp2": 1e-8,
-    "casimir": 1e-10,
-    "wconst": 1e-10,
-}
 
-SUITES = (
-    "basic",
-    "single",
-    "general",
-    "virasoro",
-    "lambda2",
-    "winf",
-    "sp2",
-    "casimir",
-    "wconst",
+
+class Family(NamedTuple):
+    """One id family: the suite that runs it, its tolerance, check and index grid.
+
+    `check` names the check function, looked up when it is called so that
+    wrappers and patches of the module attribute apply.  `index` maps each
+    id letter to its range; the grid is their product, and an empty index is
+    one call of a check that returns its own entries.
+    """
+
+    suite: str
+    family: str
+    tol: float
+    check: str
+    index: dict
+
+
+FAMILIES = (
+    Family("basic", "basic", 1e-12, "check_basic", {}),
+    Family("single", "single", 1e-8, "check_single_mode", {"m": range(1, 6)}),
+    Family("general", "general", 1e-8, "check_general", {"n": range(1, 5), "m": range(1, 9)}),
+    Family("virasoro", "virasoro", 1e-8, "check_virasoro", {"m": range(-1, 4), "n": range(-1, 4)}),
+    Family("virasoro", "klein_v", 1e-10, "check_klein_virasoro", {"m": range(-1, 6)}),
+    Family("lambda2", "lambda2", 1e-8, "check_lambda2", {}),
+    Family("winf", "winf", 1e-8, "check_winf", dict.fromkeys("smtn", range(4))),
+    Family("winf", "klein_w", 1e-10, "check_klein_winf", dict.fromkeys("sm", range(5))),
+    Family("sp2", "sp2", 1e-8, "check_sp2", {}),
+    Family("casimir", "casimir", 1e-10, "check_casimir", {}),
+    Family("wconst", "wconst", 1e-10, "check_wconst", {}),
 )
+TOL = {f.family: f.tol for f in FAMILIES}
+SUITES = tuple(dict.fromkeys(f.suite for f in FAMILIES))
 
 F_CANDIDATES = ("paper", "geometric", "conjugate")
 
@@ -122,7 +137,7 @@ def _verdict(check_id, window, gate, res_paper, res_best=None, fitted=None, ok=T
     if res_best is None:
         res_best = gate
     tol = TOL[check_id.split(".")[0]]
-    if gate >= GATE_TOL or not ok:
+    if not gate < GATE_TOL or not ok:
         status = "fail"
     elif res_paper < tol:
         status = "pass"
@@ -130,14 +145,7 @@ def _verdict(check_id, window, gate, res_paper, res_best=None, fitted=None, ok=T
         status = "discrepancy"
     else:
         status = "fail"
-    return IdentityCheck(
-        id=check_id,
-        window=(window.lo, window.hi),
-        residual_paper=res_paper,
-        residual_best=res_best,
-        fitted=fitted,
-        status=status,
-    )
+    return IdentityCheck(check_id, (window.lo, window.hi), res_paper, res_best, fitted, status)
 
 
 def _ungraded(check_id: str, status: str, fitted=None) -> IdentityCheck:
@@ -172,6 +180,11 @@ class _Dual:
 
 def _c2(value: complex):
     return [float(value.real), float(value.imag)]
+
+
+def _ktable(poly, prefix: str, start: int = 0) -> dict:
+    """Fitted entries {prefix + r: [re, im]} of a K-polynomial from power `start` on."""
+    return {f"{prefix}{r}": _c2(poly[r]) for r in range(start, len(poly))}
 
 
 def _kpoly(params: AlgebraParams, c0, term) -> np.ndarray:
@@ -307,7 +320,6 @@ def check_single_mode(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
     d = _Dual(rep, params, ex.Commutator(ex.A, ex.Power(ex.AD, m)))
 
     on_support = all((p, q) == (m - 1, 0) for (p, q) in d.nf.support())
-    fitted_poly = left_read(d.nf, m - 1, 0)
 
     target = rep.matrix_power("ad", m - 1)
     residuals = {}
@@ -316,21 +328,13 @@ def check_single_mode(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
         poly[0] = m
         residuals[variant] = d.against(kpoly_left_mul(poly, m - 1, 0, lam), target)
 
-    tol = TOL["single"]
-    matching = [v for v in F_CANDIDATES if residuals[v] < tol]
+    order = ("geometric", "conjugate", "paper")
+    winner = next((v for v in order if residuals[v] < TOL["single"]), "none")
     if not params.is_deformed:
         winner = "all"
-    elif matching:
-        order = ("geometric", "conjugate", "paper")
-        winner = next(v for v in order if v in matching)
-    else:
-        winner = "none"
 
-    fitted = {"winner": winner}
-    for r in range(lam):
-        fitted[f"K{r}"] = _c2(fitted_poly[r])
-    for variant in F_CANDIDATES:
-        fitted[f"residual_{variant}"] = residuals[variant]
+    fitted = {"winner": winner, **_ktable(left_read(d.nf, m - 1, 0), "K")}
+    fitted.update({f"residual_{v}": res for v, res in residuals.items()})
 
     return _verdict(
         f"single.m{m}", d.window, d.gate, residuals["paper"], min(residuals.values()),
@@ -381,12 +385,8 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
     prod_mat = rep.matrix_power("a", n - 1) @ rep.matrix_power("ad", m - 1)
     res_tower = _relres(prod_mat - nf_to_matrix(tower_nf, rep), d.window, prod_mat)
 
-    fitted = {
-        "assembly_oracle_beta": res_oracle,
-        "assembly_closed_beta": res_closed,
-        "tower_matrix_residual": res_tower,
-        "on_support": bool(on_support),
-    }
+    fitted = {"assembly_oracle_beta": res_oracle, "assembly_closed_beta": res_closed,
+              "tower_matrix_residual": res_tower, "on_support": bool(on_support)}
     return _verdict(f"general.n{n}.m{m}", d.window, d.gate, res_closed, fitted=fitted,
                     ok=on_support)
 
@@ -405,9 +405,7 @@ def _ladder(params: AlgebraParams, dim: int, check_id: str, m: int, n: int, poly
     lead = nf_to_matrix(nf_monomial(lam, m + n + 1, 1, 0), rep)
     res_paper = d.against(rhs_nf, lead)
     lead_poly = left_read(d.nf, m + n + 1, 1)
-    fitted = {"sigma": sigma, "lead": _c2(lead_poly[0])}
-    for r in range(1, lam):
-        fitted[f"K{r}"] = _c2(lead_poly[r])
+    fitted = {"sigma": sigma, "lead": _c2(lead_poly[0]), **_ktable(lead_poly, "K", 1)}
     return _verdict(check_id, d.window, d.gate, res_paper, fitted=fitted)
 
 
@@ -435,8 +433,8 @@ def _klein(params: AlgebraParams, dim: int, generator, s: int, m: int, claimed, 
 
     With `shift` None the monomial is read with K on the right, (a+)^s a^m K;
     otherwise with K on the left, K (a+)^s a^m = x^shift (a+)^s a^m K.
-    Returns the evaluation, the claimed residual, and the fitted coefficient
-    with its residual.
+    Returns the evaluation, the claimed residual, the fitted coefficient with
+    its residual, and the fitted entries `coefficient` and `claimed`.
     """
     rep = _rep(params, dim)
     lam = params.lam
@@ -447,7 +445,8 @@ def _klein(params: AlgebraParams, dim: int, generator, s: int, m: int, claimed, 
     else:
         mono = nf_to_matrix(nf_monomial(lam, s, m, 1, root_power(lam, shift)), rep)
         c_fit = c_fit * root_power(lam, -shift)
-    return d, d.against(claimed * mono, mono), c_fit, d.against(c_fit * mono, mono)
+    fitted = {"coefficient": _c2(c_fit), "claimed": _c2(claimed)}
+    return d, d.against(claimed * mono, mono), c_fit, d.against(c_fit * mono, mono), fitted
 
 
 def check_klein_virasoro(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
@@ -458,13 +457,9 @@ def check_klein_virasoro(params: AlgebraParams, dim: int, m: int) -> IdentityChe
     """
     lam = params.lam
     g_paper = 1.0 - cmath.exp(2j * cmath.pi * (m + 1) / lam)
-    d, res_paper, c_fit, res_fit = _klein(params, dim, _ell_expr(m), m + 1, 1, g_paper)
-    fitted = {
-        "coefficient": _c2(c_fit),
-        "claimed": _c2(g_paper),
-        "grading": _c2(1.0 - cmath.exp(2j * cmath.pi * m / lam)),
-        "commutes": bool(res_fit < TOL["klein_v"] and abs(c_fit) < 1e-10),
-    }
+    d, res_paper, c_fit, res_fit, fitted = _klein(params, dim, _ell_expr(m), m + 1, 1, g_paper)
+    fitted["grading"] = _c2(1.0 - cmath.exp(2j * cmath.pi * m / lam))
+    fitted["commutes"] = bool(res_fit < TOL["klein_v"] and abs(c_fit) < 1e-10)
     return _verdict(f"klein_v.m{m}", d.window, d.gate, res_paper, max(res_fit, d.gate), fitted)
 
 
@@ -487,8 +482,8 @@ def check_lambda2(params: AlgebraParams, dim: int) -> list:
                                   [2 * (l - k) + 1, -2 * kappa1]))
     for k in range(3):
         for parity, em, claimed in (("even", 2 * k, 2.0), ("odd", 2 * k + 1, 0.0)):
-            d, res_paper, c_fit, res_fit = _klein(params, dim, _ell_expr(em), em + 1, 1, claimed)
-            fitted = {"coefficient": _c2(c_fit), "claimed": _c2(complex(claimed))}
+            d, res_paper, _, res_fit, fitted = _klein(params, dim, _ell_expr(em), em + 1, 1,
+                                                      claimed)
             checks.append(_verdict(f"lambda2.klein_{parity}.k{k}", d.window, d.gate,
                                    res_paper, max(res_fit, d.gate), fitted))
     return checks
@@ -504,15 +499,15 @@ def _xi_side(params: AlgebraParams, s: int, m: int, t: int):
     Term l (0 <= l <= m-1) is (m - l) (t + F x^{l+s}) beta_l^{[s]} with the
     tower taken from the product of m lowering factors against t raising
     factors, and the bracketed-power substitution x^j -> x^{js} applied to
-    the printed beta formulas.  Returns a list of K-polynomial vectors.
+    the printed beta formulas.  Returns an (m x lam) array, one K-polynomial a row.
     """
     F = f_kpoly(params, t + 1, "paper")
-    out = []
+    out = np.zeros((m, params.lam), dtype=complex)
     for l in range(m):
         phase = root_power(params.lam, l + s)
         pref = _kpoly(params, t, lambda _, r: F.vec[r] * phase)
         beta = beta_closed_form(m, t + 1, l, params, subst=s)
-        out.append((m - l) * kpoly_mul(pref, beta))
+        out[l] = (m - l) * kpoly_mul(pref, beta)
     return out
 
 
@@ -525,17 +520,12 @@ def check_winf(params: AlgebraParams, dim: int, s: int, m: int, t: int, n: int) 
     grade = (s - m) + (t - n)
     on_ladder = all(p - q == grade for (p, q) in d.nf.support())
 
-    side_s = _xi_side(params, s, m, t)
-    side_t = _xi_side(params, t, n, s)
+    polys = np.zeros((max(m, n), lam), dtype=complex)
+    polys[:m] += _xi_side(params, s, m, t)
+    polys[:n] -= _xi_side(params, t, n, s)
     rhs_nf = nf_zero(lam)
     dropped = 0
-    levels = max(len(side_s), len(side_t))
-    for l in range(levels):
-        poly = np.zeros(lam, dtype=complex)
-        if l < len(side_s):
-            poly += side_s[l]
-        if l < len(side_t):
-            poly -= side_t[l]
+    for l, poly in enumerate(polys):
         p, q = s + t - l - 1, m + n - l - 1
         if p < 0 or q < 0:
             if np.any(np.abs(poly) > 1e-13):
@@ -557,13 +547,10 @@ def check_klein_winf(params: AlgebraParams, dim: int, s: int, m: int) -> Identit
     lam = params.lam
     c_paper = root_power(lam, s + m) - 1.0
     # K w^s_m in canonical layout: phase x^{m-s} times (a+)^s a^m K
-    d, res_paper, c_fit, res_fit = _klein(params, dim, _mono_expr(s, m), s, m, c_paper, m - s)
-    fitted = {
-        "coefficient": _c2(c_fit),
-        "claimed": _c2(c_paper),
-        "grading": _c2(root_power(lam, s - m) - 1.0),
-        "commutes": bool(abs(c_fit) < 1e-10),
-    }
+    d, res_paper, c_fit, res_fit, fitted = _klein(params, dim, _mono_expr(s, m), s, m, c_paper,
+                                                  m - s)
+    fitted["grading"] = _c2(root_power(lam, s - m) - 1.0)
+    fitted["commutes"] = bool(abs(c_fit) < 1e-10)
     return _verdict(f"klein_w.s{s}.m{m}", d.window, d.gate, res_paper, max(res_fit, d.gate), fitted)
 
 
@@ -579,8 +566,7 @@ def check_sp2(params: AlgebraParams, dim: int) -> list:
         rhs_nf = kpoly_left_mul(rhs_poly, target_s, target_m, lam)
         target = nf_to_matrix(nf_monomial(lam, target_s, target_m, 0), rep)
         res_paper = d.against(rhs_nf, target)
-        fit_poly = left_read(d.nf, target_s, target_m)
-        fitted = {f"K{r}": _c2(fit_poly[r]) for r in range(lam)}
+        fitted = _ktable(left_read(d.nf, target_s, target_m), "K")
         checks.append(_verdict(check_id, d.window, d.gate, res_paper, fitted=fitted))
 
     # [w^0_1, w^1_1] claimed [sum kappa_r K^r (1 - x) + 1] w^0_1
@@ -617,9 +603,7 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
         ]
 
     # published right side: first piece on (a+)^2 a^2, second on a+ a
-    def xs(j: int) -> complex:
-        return root_power(lam, j)
-
+    xs = partial(root_power, lam)
     poly22 = _kpoly(params, 0.0, lambda k, r: (
         0.5 * k * (xs(3 * r) - (1.0 + xs(r)) * x - (xs(r) + xs(2 * r)) * x + 1.0) * (x - 1.0)
     ))
@@ -627,15 +611,8 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
     bracket_a = _kpoly(params, -1.0, lambda k, r: k * (xs(r) + xs(2 * r)) * x)
     bracket_b = _kpoly(params, 1.0, lambda k, r: 0.5 * k * (1.0 + xs(r)))
     poly11 = kpoly_mul(bracket_a, bracket_b, 1.0 - x)
-    rhs_nf = nf_add(
-        kpoly_left_mul(poly22, 2, 2, lam), kpoly_left_mul(poly11, 1, 1, lam)
-    )
-    fit22 = left_read(b.nf, 2, 2)
-    fit11 = left_read(b.nf, 1, 1)
-    fitted = {}
-    for r in range(lam):
-        fitted[f"w22_K{r}"] = _c2(fit22[r])
-        fitted[f"w11_K{r}"] = _c2(fit11[r])
+    rhs_nf = nf_add(kpoly_left_mul(poly22, 2, 2, lam), kpoly_left_mul(poly11, 1, 1, lam))
+    fitted = {**_ktable(left_read(b.nf, 2, 2), "w22_K"), **_ktable(left_read(b.nf, 1, 1), "w11_K")}
     return [_verdict("casimir.bracket", b.window, b.gate, b.against(rhs_nf, rep.mat_h0),
                      fitted=fitted)]
 
@@ -673,40 +650,21 @@ def check_wconst(phi_reading: str = "literal", n_reading: str = "literal") -> li
 # suite driver
 
 
-def default_grids() -> dict:
-    return {
-        "single_m": list(range(1, 6)),
-        "general": [(n, m) for n in range(1, 5) for m in range(1, 9)],
-        "virasoro": [(m, n) for m in range(-1, 4) for n in range(-1, 4)],
-        "klein_v_m": list(range(-1, 6)),
-        "winf": [
-            (s, m, t, n)
-            for s in range(4)
-            for m in range(4)
-            for t in range(4)
-            for n in range(4)
-        ],
-        "klein_w": [(s, m) for s in range(5) for m in range(5)],
-    }
-
-
-def run_suite(
-    params: AlgebraParams,
-    dim: int = 64,
-    selection=("all",),
-    phi_reading: str = "literal",
-    n_reading: str = "literal",
-) -> dict:
+def run_suite(params: AlgebraParams, dim: int = 64, selection=("all",),
+              phi_reading: str = "literal", n_reading: str = "literal") -> dict:
     """Execute the selected check suites and assemble the JSON-ready report.
 
-    A truncation the realization refuses raises before any check is graded
-    (unless only the realization-free `wconst` suite is selected), and one
-    that leaves a check no exact column raises EmptyWindow naming the check;
-    other per-check errors become failed entries and the suite never aborts.
-    Reports are byte-deterministic for a fixed configuration.
+    Each `FAMILIES` row of a selected suite calls its check once per index
+    tuple of its grid; a check that raises WrongLambda becomes one
+    `not-applicable` entry.  A truncation the realization refuses raises
+    before any check is graded (unless only the realization-free `wconst`
+    suite is selected), and one that leaves a check no exact column raises
+    EmptyWindow naming the check; other per-check errors become failed
+    entries and the suite never aborts.  Reports are byte-deterministic for a
+    fixed configuration.
     """
     selection = tuple(selection)
-    if selection == ("all",) or "all" in selection:
+    if "all" in selection:
         chosen = set(SUITES)
     else:
         unknown = set(selection) - set(SUITES)
@@ -716,58 +674,27 @@ def run_suite(
     if chosen - {"wconst"}:
         _rep(params, dim)
 
-    grids = default_grids()
     checks: list[IdentityCheck] = []
-
-    def guarded(label, fn, *args, **kwargs):
-        try:
-            result = fn(*args, **kwargs)
-        except EmptyWindow as err:  # a truncation too small for the check is not graded
-            raise EmptyWindow(f"{label} needs more levels than dim {dim}: {err}") from err
-        except Exception as err:  # noqa: BLE001 - reported, never fatal
-            checks.append(_ungraded(label, "fail", {"error": f"{type(err).__name__}: {err}"}))
-            return
-        if isinstance(result, list):
-            checks.extend(result)
-        else:
-            checks.append(result)
-
-    # check functions are looked up at call time, so wrappers and patches apply
-    if "basic" in chosen:
-        guarded("basic", check_basic, params, dim)
-    if "single" in chosen:
-        for m in grids["single_m"]:
-            guarded(f"single.m{m}", check_single_mode, params, dim, m)
-    if "general" in chosen:
-        for n, m in grids["general"]:
-            guarded(f"general.n{n}.m{m}", check_general, params, dim, n, m)
-    if "virasoro" in chosen:
-        for m, n in grids["virasoro"]:
-            guarded(f"virasoro.m{m}.n{n}", check_virasoro, params, dim, m, n)
-        for m in grids["klein_v_m"]:
-            guarded(f"klein_v.m{m}", check_klein_virasoro, params, dim, m)
-    if "lambda2" in chosen:
-        if params.lam == 2:
-            guarded("lambda2", check_lambda2, params, dim)
-        else:
-            checks.append(_ungraded("lambda2", "not-applicable"))
-    if "winf" in chosen:
-        for s, m, t, n in grids["winf"]:
-            guarded(f"winf.s{s}.m{m}.t{t}.n{n}", check_winf, params, dim, s, m, t, n)
-        for s, m in grids["klein_w"]:
-            guarded(f"klein_w.s{s}.m{m}", check_klein_winf, params, dim, s, m)
-    if "sp2" in chosen:
-        guarded("sp2", check_sp2, params, dim)
-    if "casimir" in chosen:
-        guarded("casimir", check_casimir, params, dim)
-    if "wconst" in chosen:
-        guarded("wconst", check_wconst, phi_reading, n_reading)
+    for fam in FAMILIES:
+        if fam.suite not in chosen:
+            continue
+        head = (phi_reading, n_reading) if fam.suite == "wconst" else (params, dim)
+        for values in product(*fam.index.values()):
+            label = fam.family + "".join(f".{k}{v}" for k, v in zip(fam.index, values))
+            try:
+                result = globals()[fam.check](*head, *values)
+            except WrongLambda:
+                result = _ungraded(label, "not-applicable")
+            except EmptyWindow as err:  # a truncation too small for the check is not graded
+                raise EmptyWindow(f"{label} needs more levels than dim {dim}: {err}") from err
+            except Exception as err:  # noqa: BLE001 - reported, never fatal
+                result = _ungraded(label, "fail", {"error": f"{type(err).__name__}: {err}"})
+            checks.extend(result if isinstance(result, list) else [result])
 
     checks.sort(key=lambda c: c.id)
-    summary = {"pass": 0, "discrepancy": 0, "fail": 0, "not_applicable": 0}
+    summary = dict.fromkeys(("pass", "discrepancy", "fail", "not_applicable"), 0)
     for c in checks:
-        key = "not_applicable" if c.status == "not-applicable" else c.status
-        summary[key] += 1
+        summary[c.status.replace("-", "_")] += 1
 
     config = {
         "lambda": params.lam,
@@ -784,16 +711,6 @@ def run_suite(
     }
     return {
         "config": config,
-        "checks": [
-            {
-                "id": c.id,
-                "window": [c.window[0], c.window[1]],
-                "residual_paper": c.residual_paper,
-                "residual_best": c.residual_best,
-                "fitted": c.fitted,
-                "status": c.status,
-            }
-            for c in checks
-        ],
+        "checks": [{**vars(c), "window": list(c.window)} for c in checks],
         "summary": summary,
     }

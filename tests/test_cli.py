@@ -328,3 +328,24 @@ def test_rewrite_commands_take_no_realization_flags(capsys, command, flag):
     code, out, _ = run(capsys, *command, *flag)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_refuses_to_write_non_finite_report(tmp_path, capsys):
+    # valid input whose matrix products overflow: the report would hold NaN
+    out_file = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--lambda", "2", "--alpha", "1e200,-1e200", "--dim", "16",
+        "--format", "json", "--out", str(out_file),
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", [("nf", "a"), ("commutator", "a", "ad")])
+def test_rewrite_commands_have_no_json_flag(capsys, command):
+    code, out, _ = run(capsys, *command, "--json")
+    assert code == 2
+    assert out == ""

@@ -5,7 +5,10 @@ import pytest
 
 from cycosc.errors import DimTooSmall, IndexOutOfRealization, WrongLambda
 from cycosc.fock import build_rep
+from cycosc.fock import SafeWindow
 from cycosc.identities import (
+    SUITES,
+    _verdict,
     check_basic,
     check_casimir,
     check_general,
@@ -415,3 +418,37 @@ def test_run_suite_wconst_needs_no_realization(params_l2):
     report = run_suite(params_l2, 512, ("wconst",))
     assert report["summary"]["fail"] == 0
     assert report["config"]["dim"] == 512
+
+
+# which id families (the id up to its first dot) each --suite name runs
+SUITE_FAMILIES = {
+    "basic": {"basic"},
+    "single": {"single"},
+    "general": {"general"},
+    "virasoro": {"virasoro", "klein_v"},
+    "lambda2": {"lambda2"},
+    "winf": {"winf", "klein_w"},
+    "sp2": {"sp2"},
+    "casimir": {"casimir"},
+    "wconst": {"wconst"},
+}
+
+
+@pytest.mark.parametrize("alpha", [(0.5, -0.5), (0.3, 0.2, -0.5)], ids=["lambda2", "lambda3"])
+def test_each_suite_runs_exactly_its_families(alpha):
+    params = validate_alpha(len(alpha), alpha)
+    assert set(SUITES) == set(SUITE_FAMILIES)
+    every = run_suite(params, 20)["checks"]
+    for name in SUITES:
+        own = [c for c in every if c["id"].split(".")[0] in SUITE_FAMILIES[name]]
+        assert own, name
+        assert run_suite(params, 20, (name,))["checks"] == own, name
+    if params.lam != 2:
+        assert [c["status"] for c in every if c["id"].startswith("lambda2")] == ["not-applicable"]
+
+
+def test_verdict_fails_a_non_finite_gate():
+    window = SafeWindow(0, 1)
+    assert _verdict("single.m1", window, float("nan"), 0.0).status == "fail"
+    assert _verdict("single.m1", window, float("inf"), 0.0).status == "fail"
+    assert _verdict("single.m1", window, 0.0, 0.0).status == "pass"
