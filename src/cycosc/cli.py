@@ -8,7 +8,8 @@ Subcommands:
     wconst       evaluate higher-spin structure constants and central charges
 
 Exit codes: 0 success (discrepancies included unless --strict-paper),
-1 identity failure under the active policy, 2 usage or parse errors or a
+1 identity failure under the active policy, 2 usage or parse errors, a
+malformed config, a number or expression too large or deep to evaluate, or a
 non-finite number in a JSON output, 3 I/O errors.
 """
 
@@ -18,19 +19,15 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import CycoscError
 from .expr import parse
 from .fock import build_rep, dump_matrices, spectrum, spectrum_closed_form
 from .identities import SUITES, run_suite
 from .normal_order import NormalForm, normal_form
-from .params import (
-    AlgebraParams,
-    params_from_json,
-    params_from_kappa,
-    validate_alpha,
-    whole_number,
-)
+from .params import AlgebraParams, params_from_json, whole_number
 from .winf import N_READINGS, PHI_READINGS, dual_readings, winf_structure
 
 EXIT_OK = 0
@@ -39,32 +36,29 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _parse_alpha(text: str):
-    return [float(part) for part in text.split(",") if part != ""]
-
-
-def _parse_kappa(text: str):
-    out = []
-    for part in text.split(","):
-        if part == "":
-            continue
-        if ":" in part:
-            re_s, im_s = part.split(":", 1)
-            out.append(complex(float(re_s), float(im_s)))
-        else:
-            out.append(complex(float(part), 0.0))
-    return out
+def _flag_vectors(args) -> dict:
+    """--alpha / --kappa in the config's shapes (0.3:0.1 is [0.3, 0.1]); empty parts skipped."""
+    vectors = {}
+    if args.alpha is not None:
+        vectors["alpha"] = [float(part) for part in args.alpha.split(",") if part]
+    if args.kappa is not None:
+        pairs = (part.partition(":") for part in args.kappa.split(",") if part)
+        vectors["kappa"] = [[float(real), float(imag) if sep else 0.0] for real, sep, imag in pairs]
+    return vectors
 
 
 def _load_config(args) -> dict:
-    """The parsed --config file, or {} without one."""
+    """The parsed --config file, or {} without one; its top level must be an object."""
     if not args.config:
         return {}
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as err:
         raise _IOFailure(f"cannot read config {args.config}: {err}") from err
+    if not isinstance(cfg, dict):
+        raise CycoscError(f"config {args.config} must hold a JSON object, got {cfg!r}")
+    return cfg
 
 
 class _IOFailure(Exception):
@@ -72,22 +66,12 @@ class _IOFailure(Exception):
 
 
 def _resolve_params(args, cfg: dict) -> AlgebraParams:
-    """Merge the config with inline flags; flags win."""
-    lam = whole_number(args.lam if args.lam is not None else cfg.get("lambda", 2), "lambda")
-    if args.alpha and args.kappa:
-        raise CycoscError("give at most one of --alpha / --kappa")
-    if args.alpha:
-        return validate_alpha(lam, _parse_alpha(args.alpha))
-    if args.kappa:
-        return params_from_kappa(lam, _parse_kappa(args.kappa))
-    if "alpha" in cfg or "kappa" in cfg:
-        obj = {"lambda": lam}
-        if "alpha" in cfg:
-            obj["alpha"] = cfg["alpha"]
-        if "kappa" in cfg:
-            obj["kappa"] = cfg["kappa"]
-        return params_from_json(obj)  # enforces the exactly-one rule
-    return validate_alpha(lam, [0.0] * lam)
+    """One parameter object for params_from_json; a vector flag replaces both config vectors."""
+    lam = args.lam if args.lam is not None else cfg.get("lambda", 2)
+    vectors = _flag_vectors(args) or {k: cfg[k] for k in ("alpha", "kappa") if k in cfg}
+    if not vectors:  # undeformed: lambda zeros
+        vectors = {"alpha": [0.0] * whole_number(lam, "lambda")}
+    return params_from_json({"lambda": lam, **vectors})
 
 
 def _resolve_dim(args, cfg: dict) -> int:
@@ -198,13 +182,9 @@ def cmd_verify(args) -> int:
     params = _resolve_params(args, cfg)
     dim = _resolve_dim(args, cfg)
     suites = tuple(args.suite.split(",")) if args.suite else ("all",)
-    report = run_suite(
-        params,
-        dim,
-        suites,
-        phi_reading=args.phi_reading,
-        n_reading=args.N_reading,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by NotFinite
+        report = run_suite(params, dim, suites,
+                           phi_reading=args.phi_reading, n_reading=args.N_reading)
     report["config"]["strict_paper"] = bool(args.strict_paper)
     payload = _json(report)
     if args.out:
@@ -353,7 +333,7 @@ def main(argv=None) -> int:
     except _IOFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (CycoscError, ValueError) as err:
+    except (CycoscError, ValueError, OverflowError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

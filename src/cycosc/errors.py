@@ -28,7 +28,7 @@ class NotReal(CycoscError):
 
 
 class NotFinite(CycoscError):
-    """A parameter entry is infinite or NaN."""
+    """A parameter entry, or a residual of the realization it gives, is infinite or NaN."""
 
 
 # ---- Fock realization ----

@@ -29,6 +29,7 @@ the package's external wire format; see ``run_suite``.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -37,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .errors import EmptyWindow, IndexOutOfRealization, WrongLambda
+from .errors import EmptyWindow, IndexOutOfRealization, NotFinite, WrongLambda
 from .fock import FockRep, SafeWindow, apply_word, build_rep, window_residual
 from .normal_order import (
     NormalForm,
@@ -132,12 +133,12 @@ def _verdict(check_id, window, gate, res_paper, res_best=None, fitted=None, ok=T
 
     The tolerance is the one of the check's family (the id up to its first
     dot); `res_best` defaults to the gate; `ok=False` (an off-support or
-    off-ladder normal form) fails the check like a failed gate.
+    off-ladder normal form) and a non-finite `res_paper` fail like a failed gate.
     """
     if res_best is None:
         res_best = gate
     tol = TOL[check_id.split(".")[0]]
-    if not gate < GATE_TOL or not ok:
+    if not (gate < GATE_TOL and ok and math.isfinite(res_paper)):
         status = "fail"
     elif res_paper < tol:
         status = "pass"
@@ -163,6 +164,8 @@ class _Dual:
         weight = max(ex.creation_weight(e), self.nf.creation_weight())
         self.window = SafeWindow(0, rep.dim - 1 - weight)
         self.gate = self.against(self.nf)
+        if not math.isfinite(self.gate):
+            raise NotFinite(f"gate {self.gate} at dim {rep.dim}: the realization overflows")
 
     def against(self, published, *scale) -> float:
         """Residual of the word against a published right side.
@@ -687,6 +690,8 @@ def run_suite(params: AlgebraParams, dim: int = 64, selection=("all",),
                 result = _ungraded(label, "not-applicable")
             except EmptyWindow as err:  # a truncation too small for the check is not graded
                 raise EmptyWindow(f"{label} needs more levels than dim {dim}: {err}") from err
+            except NotFinite as err:  # an overflowing realization is not graded either
+                raise NotFinite(f"{label}: {err}") from err
             except Exception as err:  # noqa: BLE001 - reported, never fatal
                 result = _ungraded(label, "fail", {"error": f"{type(err).__name__}: {err}"})
             checks.extend(result if isinstance(result, list) else [result])

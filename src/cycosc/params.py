@@ -6,7 +6,8 @@ partial sums > -1, or equivalently by the complex bracket coefficients
 ``kappa = (kappa_1, ..., kappa_{lam-1})`` of ``[a, a+] = 1 + sum kappa_r K^r``
 with ``kappa_r* = kappa_{lam-r}``.  The two descriptions are related by a
 discrete Fourier pair; this module owns that conversion and the derived
-partial-sum (beta) and level-shift (gamma) vectors.
+partial-sum (beta) and level-shift (gamma) vectors.  ``params_from_json`` is
+the one check of parameter input from outside (CLI flags, config files).
 
 Convention note: with the Klein operator realized as ``K = exp(2i pi N/lam)``
 (the unique choice compatible with ``a+ K = exp(-2i pi/lam) K a+``), the
@@ -171,22 +172,36 @@ def params_from_kappa(lam: int, kappa) -> AlgebraParams:
 
 
 def params_from_json(obj) -> AlgebraParams:
-    """Load parameters from a parsed JSON object.
+    """Load parameters from a parsed JSON object: the one check of outside input.
 
-    Accepted shapes (exactly one of alpha / kappa may be present):
+    Accepted shapes (exactly one of alpha / kappa must be present):
         {"lambda": int, "alpha": [real, ...]}
         {"lambda": int, "kappa": [[re, im], ...]}
+    Numbers are JSON numbers: booleans, strings and null are refused.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise CycoscError(f"parameters must be a JSON object, got {obj!r}")
     if "lambda" not in obj:
         raise BadLength("parameter object must carry a 'lambda' field")
     lam = whole_number(obj["lambda"], "lambda")
-    has_alpha = "alpha" in obj
-    has_kappa = "kappa" in obj
-    if has_alpha == has_kappa:
-        raise BadLength("exactly one of 'alpha' or 'kappa' must be present")
-    if has_alpha:
-        return validate_alpha(lam, obj["alpha"])
-    kappa = [complex(pair[0], pair[1]) for pair in obj["kappa"]]
-    return params_from_kappa(lam, kappa)
+    given = [key for key in ("alpha", "kappa") if key in obj]
+    if len(given) != 1:
+        raise BadLength(f"give exactly one of alpha / kappa, got {' and '.join(given) or 'none'}")
+    key, value = given[0], obj[given[0]]
+    if key == "alpha" and _numbers(value):
+        return validate_alpha(lam, value)
+    if key == "kappa" and isinstance(value, list) and all(
+        _numbers(pair) and len(pair) == 2 for pair in value
+    ):
+        return params_from_kappa(lam, [complex(re, im) for re, im in value])
+    shape = "a list of numbers" if key == "alpha" else "a list of [re, im] number pairs"
+    raise CycoscError(f"{key} must be {shape}, got {value!r}")
+
+
+def _numbers(value) -> bool:
+    """Whether `value` is a list of JSON numbers (booleans are not numbers)."""
+    return isinstance(value, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    )

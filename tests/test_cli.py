@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycosc.cli import main
 
@@ -349,3 +353,125 @@ def test_rewrite_commands_have_no_json_flag(capsys, command):
     code, out, _ = run(capsys, *command, "--json")
     assert code == 2
     assert out == ""
+
+
+BAD_PARAMETER_INPUTS = {
+    "config-null": ("null", ()),
+    "config-list": ("[1, 2]", ()),
+    "alpha-null": ('{"lambda": 2, "alpha": null}', ()),
+    "alpha-null-entry": ('{"lambda": 2, "alpha": [null, 0]}', ()),
+    "alpha-string": ('{"lambda": 2, "alpha": "00"}', ()),
+    "alpha-bool-entry": ('{"lambda": 2, "alpha": [true, -1]}', ()),
+    "kappa-flat": ('{"lambda": 2, "kappa": [0.5]}', ()),
+    "kappa-short-pair": ('{"lambda": 2, "kappa": [[0.5]]}', ()),
+    "kappa-string": ('{"lambda": 2, "kappa": "5"}', ()),
+    "kappa-string-pair": ('{"lambda": 3, "kappa": [["a", "b"], [1, 2]]}', ()),
+    "alpha-flag-empty": (None, ("--lambda", "2", "--alpha=")),
+    "kappa-flag-empty-beside-alpha": (None, ("--lambda", "2", "--kappa=", "--alpha=0.5,-0.5")),
+}
+
+
+@pytest.mark.parametrize("cfg_text, flags", BAD_PARAMETER_INPUTS.values(), ids=BAD_PARAMETER_INPUTS)
+def test_verify_refuses_malformed_parameters(tmp_path, capsys, cfg_text, flags):
+    if cfg_text is not None:
+        cfg = tmp_path / "params.json"
+        cfg.write_text(cfg_text)
+        flags = ("--config", str(cfg))
+    out_file = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", *flags, "--dim", "16", "--suite", "basic", "--out", str(out_file)
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not out_file.exists()
+
+
+def test_both_vector_flags_are_refused(capsys):
+    code, _, err = run(capsys, "nf", "a", "--lambda", "2", "--alpha", "0.5,-0.5", "--kappa", "0.5")
+    assert code == 2
+    assert err == "error: give exactly one of alpha / kappa, got alpha and kappa\n"
+
+
+def test_trailing_comma_in_vector_flags(capsys):
+    code, out, _ = run(capsys, "spectrum", "--lambda", "2", "--alpha=0.5,-0.5,", "--dim", "16")
+    assert code == 0
+    assert out == run(capsys, "spectrum", "--lambda", "2", "--alpha", "0.5,-0.5", "--dim", "16")[1]
+    assert "0.750000000000" in out
+    code, out, _ = run(capsys, "nf", "[a, ad]", "--lambda", "2", "--kappa=0.5,")
+    assert code == 0
+    assert out.splitlines() == ["1 I", "0.5 K"]
+
+
+def test_vector_flag_replaces_both_config_vectors(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"lambda": 2, "kappa": [[0.5, 0.0]]}))
+    code, out, _ = run(capsys, "nf", "[a, ad]", "--config", str(cfg), "--alpha", "0,0")
+    assert code == 0
+    assert out.splitlines() == ["1 I"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nf", "a^1100 ad", "--lambda", "2"),
+        ("nf", "(" * 300 + "a" + ")" * 300, "--lambda", "2"),
+        ("nf", "a", "--config", "{big}"),
+        ("nf", "a", "--lambda", "99999999999999999999"),
+    ],
+    ids=["rewrite-too-deep", "parse-too-deep", "alpha-too-large", "lambda-too-large"],
+)
+def test_too_deep_or_too_large_input_exits_2(tmp_path, capsys, argv):
+    cfg = tmp_path / "params.json"
+    cfg.write_text('{"lambda": 2, "alpha": [1%s, -1]}' % ("0" * 399))
+    code, out, err = run(capsys, *(arg.format(big=cfg) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_refuses_an_overflowing_realization(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--lambda", "2", "--alpha", "1e200,-1e200", "--dim", "16",
+        "--out", str(out_file),
+    )
+    assert code == 2
+    assert err.startswith("error: single.m") and "overflows" in err
+    assert out == ""
+    assert not out_file.exists()
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+NUMBERS = st.integers() | st.floats()
+CONFIGS = JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "lambda": st.integers(max_value=8) | st.integers(-100, 8).map(float),
+    "alpha": JSON_VALUES | st.lists(NUMBERS, max_size=9),
+    "kappa": JSON_VALUES | st.lists(st.lists(NUMBERS, max_size=3), max_size=8),
+    "dim": JSON_VALUES | st.integers(-2, 300),
+})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(cfg_obj=CONFIGS)
+def test_config_boundary_never_raises(tmp_path_factory, cfg_obj):
+    """Any JSON config ends `nf` and `spectrum` with exit 0 or 2, never an exception.
+
+    lambda is drawn from whole numbers <= 8 only: nothing bounds lambda before
+    the default alpha list and the O(lambda^2) alpha/kappa transform are
+    built, so a large lambda costs unbounded time and memory instead of an
+    error.
+    """
+    cfg = tmp_path_factory.mktemp("cfg") / "params.json"
+    cfg.write_text(json.dumps(cfg_obj))
+    for argv in (["nf", "a", "--config", str(cfg)], ["spectrum", "--config", str(cfg)]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2)

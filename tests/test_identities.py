@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cycosc.errors import DimTooSmall, IndexOutOfRealization, WrongLambda
+from cycosc.errors import DimTooSmall, IndexOutOfRealization, NotFinite, WrongLambda
 from cycosc.fock import build_rep
 from cycosc.fock import SafeWindow
 from cycosc.identities import (
@@ -452,3 +452,15 @@ def test_verdict_fails_a_non_finite_gate():
     assert _verdict("single.m1", window, float("nan"), 0.0).status == "fail"
     assert _verdict("single.m1", window, float("inf"), 0.0).status == "fail"
     assert _verdict("single.m1", window, 0.0, 0.0).status == "pass"
+
+
+@pytest.mark.parametrize("res_paper", [float("nan"), float("inf")])
+def test_verdict_fails_a_non_finite_published_residual(res_paper):
+    # a finite, small res_best must not turn a non-finite res_paper into a discrepancy
+    assert _verdict("single.m1", SafeWindow(0, 1), 0.0, res_paper, 0.0).status == "fail"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_suite_refuses_an_overflowing_realization():
+    with pytest.raises(NotFinite, match=r"^single\.m\d: gate "):
+        run_suite(validate_alpha(2, (1e200, -1e200)), 16)

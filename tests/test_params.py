@@ -160,3 +160,30 @@ def test_whole_number():
             whole_number(bad, "dim")
     with pytest.raises(CycoscError, match="lambda must be a whole number, got None"):
         params_from_json({"lambda": None, "alpha": [0.0, 0.0]})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        None,
+        [1, 2],
+        {"lambda": 2, "alpha": None},
+        {"lambda": 2, "alpha": [None, 0]},
+        {"lambda": 2, "alpha": "00"},
+        {"lambda": 2, "alpha": [True, -1]},
+        {"lambda": 2, "kappa": [0.5]},
+        {"lambda": 2, "kappa": [[0.5]]},
+        {"lambda": 2, "kappa": [[0.5, 0.0, 0.0]]},
+        {"lambda": 2, "kappa": "5"},
+        {"lambda": 2, "kappa": [[False, 0]]},
+        {"lambda": 3, "kappa": [["a", "b"], [1, 2]]},
+    ],
+)
+def test_json_refuses_bad_shapes(obj):
+    with pytest.raises(CycoscError):
+        params_from_json(obj)
+
+
+def test_json_accepts_whole_and_integer_entries():
+    assert params_from_json({"lambda": 2.0, "alpha": [1, -1]}) == validate_alpha(2, (1.0, -1.0))
+    assert params_from_json({"lambda": 2, "kappa": [[1, 0]]}) == params_from_kappa(2, [1.0])
