@@ -33,6 +33,7 @@ from .errors import (
 )
 from .expr import parse, to_source
 from .fock import (
+    Banded,
     FockRep,
     SafeWindow,
     apply_word,
@@ -72,6 +73,7 @@ __all__ = [
     "AlgebraParams",
     "BadLength",
     "BadRange",
+    "Banded",
     "BetaTower",
     "CycoscError",
     "DimTooSmall",

@@ -14,6 +14,11 @@ K^lam = 1; it is the only diagonal unitary satisfying both.
 Everything here is exact up to the truncation boundary: any word containing
 W creation factors is evaluated without truncation error on columns
 n <= D - 1 - W (the "safe window").
+
+Every generator is a single diagonal of the matrix, so the realization is
+stored by diagonals (`Banded`) and words are evaluated one diagonal at a
+time: a product costs O(D) per pair of diagonals, and no matrix is ever
+made dense.
 """
 
 from __future__ import annotations
@@ -53,24 +58,128 @@ class SafeWindow:
             raise EmptyWindow(f"invalid window [{self.lo}, {self.hi}]")
 
 
+class Banded:
+    """A dim x dim complex matrix stored by diagonals: {offset: vector over columns}.
+
+    Entry (j + offset, j) is vec[j]; vec[j] is kept at zero where row j + offset
+    falls outside the matrix, and no offset reaches dim.  `a` lies on offset -1,
+    `a+` on +1 and every other generator on 0, so (a+)^p a^q K^r is the single
+    diagonal p - q.  Instances and their vectors are never changed in place.
+    """
+
+    __slots__ = ("dim", "bands")
+    __array_ufunc__ = None  # a numpy scalar times a Banded defers to __rmul__
+
+    def __init__(self, dim: int, bands: dict):
+        self.dim = dim
+        self.bands = bands
+
+    @classmethod
+    def identity(cls, dim: int) -> Banded:
+        return cls(dim, {0: np.ones(dim, dtype=complex)})
+
+    def __matmul__(self, other: Banded) -> Banded:
+        """One shifted elementwise product per pair of diagonals.
+
+        Contributions to an entry are summed in ascending order of the right
+        operand's offset, i.e. in ascending order of the contracted index.
+        """
+        dim = self.dim
+        out = {}
+        for s in sorted(other.bands):
+            right = other.bands[s]
+            for t, left in self.bands.items():
+                offset = s + t
+                if abs(offset) >= dim:
+                    continue
+                prod = np.zeros(dim, dtype=complex)
+                if s >= 0:
+                    np.multiply(left[s:], right[: dim - s], out=prod[: dim - s])
+                else:
+                    np.multiply(left[: dim + s], right[-s:], out=prod[-s:])
+                if offset in out:
+                    out[offset] += prod
+                else:
+                    out[offset] = prod
+        return Banded(dim, out)
+
+    def __add__(self, other: Banded) -> Banded:
+        out = dict(self.bands)
+        for offset, vec in other.bands.items():
+            out[offset] = out[offset] + vec if offset in out else vec
+        return Banded(self.dim, out)
+
+    def __sub__(self, other: Banded) -> Banded:
+        out = dict(self.bands)
+        for offset, vec in other.bands.items():
+            out[offset] = out[offset] - vec if offset in out else -vec
+        return Banded(self.dim, out)
+
+    def __mul__(self, c) -> Banded:
+        return Banded(self.dim, {offset: c * vec for offset, vec in self.bands.items()})
+
+    __rmul__ = __mul__
+
+    def power(self, n: int) -> Banded:
+        """self**n (n >= 0) in the association order of numpy's matrix_power."""
+        if n == 0:
+            return Banded.identity(self.dim)
+        if n == 1:
+            return self
+        if n == 2:
+            return self @ self
+        if n == 3:
+            return (self @ self) @ self
+        z = result = None
+        while n > 0:  # bits from the lowest up, squaring z at each
+            z = self if z is None else z @ z
+            n, bit = divmod(n, 2)
+            if bit:
+                result = z if result is None else result @ z
+        return result
+
+    def window_max(self, lo: int, hi: int) -> float:
+        """Largest absolute entry in columns lo..hi (NaN if any entry is NaN)."""
+        peaks = [np.max(np.abs(vec[lo : hi + 1])) for vec in self.bands.values()]
+        return float(np.max(peaks, initial=0.0))
+
+    def entries(self):
+        """(row, col, value) of every nonzero entry, in row-major order."""
+        return sorted(
+            (int(j) + offset, int(j), vec[j])
+            for offset, vec in self.bands.items()
+            for j in np.flatnonzero(vec)
+        )
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for i, j, value in self.entries():
+            out[i, j] = value
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        return sum(vec.nbytes for vec in self.bands.values())
+
+
 @dataclass(frozen=True)
 class FockRep:
-    """Dense matrix realization of all generators at truncation D."""
+    """Banded realization of all generators at truncation D."""
 
     dim: int
     params: AlgebraParams
-    mat_n: np.ndarray
-    mat_k: np.ndarray
+    mat_n: Banded
+    mat_k: Banded
     mat_p: tuple  # one projector per residue class
-    mat_a: np.ndarray
-    mat_adag: np.ndarray
-    mat_h0: np.ndarray
-    _pow_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    mat_a: Banded
+    mat_adag: Banded
+    mat_h0: Banded
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def projector(self, mu: int) -> np.ndarray:
+    def projector(self, mu: int) -> Banded:
         return self.mat_p[mu % self.params.lam]
 
-    def atom_matrix(self, kind: str) -> np.ndarray:
+    def atom_matrix(self, kind: str) -> Banded:
         table = {
             "a": self.mat_a,
             "ad": self.mat_adag,
@@ -78,32 +187,47 @@ class FockRep:
             "K": self.mat_k,
         }
         if kind == "I":
-            return np.eye(self.dim, dtype=complex)
+            return Banded.identity(self.dim)
         if kind in table:
             return table[kind]
         raise UnknownSymbol(f"no matrix for atom {kind!r}")
 
-    def matrix_power(self, kind: str, n: int) -> np.ndarray:
+    def matrix_power(self, kind: str, n: int) -> Banded:
         """Cached powers of single generators (a, ad, K)."""
         key = (kind, n)
-        if key not in self._pow_cache:
-            self._pow_cache[key] = np.linalg.matrix_power(self.atom_matrix(kind), n)
-        return self._pow_cache[key]
+        if key not in self._cache:
+            self._cache[key] = self.atom_matrix(kind).power(n)
+        return self._cache[key]
+
+    def monomial(self, p: int, q: int, r: int) -> Banded:
+        """Cached (a+)^p a^q K^r, multiplied left to right."""
+        key = (p, q, r)
+        if key not in self._cache:
+            term = self.matrix_power("ad", p) @ self.matrix_power("a", q)
+            if r:
+                term = term @ self.matrix_power("K", r)
+            self._cache[key] = term
+        return self._cache[key]
 
 
+# Lifting the cap waits for truncation-independent residuals: the oracle gate
+# still grows with dim (at lambda=2, dim 2048, four checks turn `fail` on round-off).
 DIM_CAP = 256
 
 
 def build_rep(params: AlgebraParams, dim: int) -> FockRep:
-    """Construct the dense realization; raises DimTooSmall for dim < lam + 2.
+    """Construct the banded realization; raises DimTooSmall for dim < lam + 2.
 
-    Matrices are dense (ladder products fill in), so dim is capped at DIM_CAP.
+    dim is capped at DIM_CAP, above which the residual gates drift with the
+    truncation (ValueError).
     """
     lam = params.lam
     if dim < lam + 2:
         raise DimTooSmall(f"dim {dim} < lam + 2 = {lam + 2}")
     if dim > DIM_CAP:
-        raise ValueError(f"dim {dim} exceeds the dense-matrix cap {DIM_CAP}")
+        raise ValueError(
+            f"dim {dim} exceeds the cap {DIM_CAP}, above which residuals drift with truncation"
+        )
 
     levels = np.arange(dim)
     f_vals = structure_function(params, np.arange(dim + 1))
@@ -120,26 +244,28 @@ def build_rep(params: AlgebraParams, dim: int) -> FockRep:
         [sum(cmath.exp(2j * cmath.pi * nu * d / lam) for nu in range(lam)) / lam
          for d in residues]
     )
-    mat_n = np.diag(levels.astype(complex))
-    mat_k = np.diag(phase[levels % lam])
-    mat_p = [np.diag(root_sum[(levels - mu) % lam]) for mu in range(lam)]
-    mat_a = np.diag(np.sqrt(f_vals[1:dim]).astype(complex), 1)
-    mat_adag = mat_a.conj().T
-    mat_h0 = 0.5 * (mat_a @ mat_adag + mat_adag @ mat_a)
 
-    rep = FockRep(
+    def diagonal(vec: np.ndarray, offset: int = 0) -> Banded:
+        vec.setflags(write=False)
+        return Banded(dim, {offset: vec})
+
+    # a |n> = sqrt(F(n)) |n-1> sits on offset -1 (column 0 has no row above it);
+    # a+ is its conjugate transpose on offset +1 (column D-1 has no row below).
+    ladder = np.sqrt(f_vals[1:dim]).astype(complex)
+    zero = np.zeros(1, dtype=complex)
+    mat_a = diagonal(np.concatenate([zero, ladder]), -1)
+    mat_adag = diagonal(np.concatenate([ladder.conj(), zero]), 1)
+    mat_h0 = 0.5 * (mat_a @ mat_adag + mat_adag @ mat_a)
+    return FockRep(
         dim=dim,
         params=params,
-        mat_n=mat_n,
-        mat_k=mat_k,
-        mat_p=tuple(mat_p),
+        mat_n=diagonal(levels.astype(complex)),
+        mat_k=diagonal(phase[levels % lam]),
+        mat_p=tuple(diagonal(root_sum[(levels - mu) % lam]) for mu in range(lam)),
         mat_a=mat_a,
         mat_adag=mat_adag,
-        mat_h0=mat_h0,
+        mat_h0=diagonal(mat_h0.bands[0]),
     )
-    for m in (mat_n, mat_k, mat_a, mat_adag, mat_h0, *mat_p):
-        m.setflags(write=False)
-    return rep
 
 
 def spectrum(rep: FockRep) -> np.ndarray:
@@ -148,7 +274,7 @@ def spectrum(rep: FockRep) -> np.ndarray:
     H0 is diagonal in the Fock basis, so these are its sorted diagonal.  The
     top level D-1 is discarded because a a+ needs level D there.
     """
-    return np.sort(rep.mat_h0.diagonal()[: rep.dim - 1].real)
+    return np.sort(rep.mat_h0.bands[0][: rep.dim - 1].real)
 
 
 def spectrum_closed_form(params: AlgebraParams, count: int) -> np.ndarray:
@@ -158,7 +284,7 @@ def spectrum_closed_form(params: AlgebraParams, count: int) -> np.ndarray:
     )
 
 
-def apply_word(rep: FockRep, e: ex.OperatorExpr) -> np.ndarray:
+def apply_word(rep: FockRep, e: ex.OperatorExpr) -> Banded:
     """Literal matrix evaluation of an expression tree."""
     if isinstance(e, ex.Atom):
         return rep.atom_matrix(e.kind)
@@ -167,11 +293,11 @@ def apply_word(rep: FockRep, e: ex.OperatorExpr) -> np.ndarray:
             raise UnknownSymbol(f"P{e.mu} undefined for cyclic order {rep.params.lam}")
         return rep.projector(e.mu)
     if isinstance(e, ex.Scalar):
-        return e.value * np.eye(rep.dim, dtype=complex)
+        return e.value * Banded.identity(rep.dim)
     if isinstance(e, ex.Sum):
-        acc = apply_word(rep, e.terms[0]).copy()
+        acc = apply_word(rep, e.terms[0])
         for t in e.terms[1:]:
-            acc += apply_word(rep, t)
+            acc = acc + apply_word(rep, t)
         return acc
     if isinstance(e, ex.Product):
         acc = apply_word(rep, e.factors[0])
@@ -179,7 +305,7 @@ def apply_word(rep: FockRep, e: ex.OperatorExpr) -> np.ndarray:
             acc = acc @ apply_word(rep, f)
         return acc
     if isinstance(e, ex.Power):
-        return np.linalg.matrix_power(apply_word(rep, e.base), e.exponent)
+        return apply_word(rep, e.base).power(e.exponent)
     if isinstance(e, ex.Commutator):
         left = apply_word(rep, e.left)
         right = apply_word(rep, e.right)
@@ -206,20 +332,17 @@ def safe_window(rep: FockRep, exprs) -> SafeWindow:
     return SafeWindow(0, hi)
 
 
-def window_residual(mat: np.ndarray, window: SafeWindow) -> float:
+def window_residual(mat: Banded, window: SafeWindow) -> float:
     """Max absolute entry of `mat` over the safe-window columns."""
-    return float(np.max(np.abs(mat[:, window.lo : window.hi + 1])))
+    return mat.window_max(window.lo, window.hi)
 
 
 def dump_matrices(rep: FockRep) -> dict:
     """Sparse JSON-friendly dump of every generator matrix."""
 
-    def encode(mat: np.ndarray) -> dict:
-        entries = [
-            [int(i), int(j), float(mat[i, j].real), float(mat[i, j].imag)]
-            for i, j in zip(*np.nonzero(mat))
-        ]
-        return {"rows": int(mat.shape[0]), "cols": int(mat.shape[1]), "entries": entries}
+    def encode(mat: Banded) -> dict:
+        entries = [[i, j, float(v.real), float(v.imag)] for i, j, v in mat.entries()]
+        return {"rows": mat.dim, "cols": mat.dim, "entries": entries}
 
     out = {
         "N": encode(rep.mat_n),

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import EmptyWindow, IndexOutOfRealization, NotFinite, WrongLambda
-from .fock import FockRep, SafeWindow, apply_word, build_rep, window_residual
+from .fock import Banded, FockRep, SafeWindow, apply_word, build_rep, window_residual
 from .normal_order import (
     NormalForm,
     beta_closed_form,
@@ -121,7 +121,7 @@ def _rep(params: AlgebraParams, dim: int) -> FockRep:
     return build_rep(params, dim)
 
 
-def _relres(diff: np.ndarray, window: SafeWindow, *operands) -> float:
+def _relres(diff: Banded, window: SafeWindow, *operands) -> float:
     scale = 1.0
     for op in operands:
         scale = max(scale, window_residual(op, window))

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import BadRange, FormulaGap, LambdaMismatch, UnknownSymbol
-from .fock import FockRep
+from .fock import Banded, FockRep
 from .params import AlgebraParams, root_power
 
 PRUNE_TOL = 1e-13
@@ -160,14 +160,11 @@ def nf_adjoint(x: NormalForm, params: AlgebraParams) -> NormalForm:
     return _pruned(lam, out)
 
 
-def nf_to_matrix(x: NormalForm, rep: FockRep) -> np.ndarray:
-    """Reconstruct the matrix sum_{p,q,r} c (a+)^p a^q K^r."""
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+def nf_to_matrix(x: NormalForm, rep: FockRep) -> Banded:
+    """Reconstruct the matrix sum_{p,q,r} c (a+)^p a^q K^r, term by sorted term."""
+    out = Banded(rep.dim, {})
     for (p, q, r), c in sorted(x.terms.items()):
-        term = rep.matrix_power("ad", p) @ rep.matrix_power("a", q)
-        if r:
-            term = term @ rep.matrix_power("K", r)
-        out += c * term
+        out = out + c * rep.monomial(p, q, r)
     return out
 
 

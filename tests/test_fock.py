@@ -8,6 +8,7 @@ import pytest
 from cycosc.errors import DimTooSmall, EmptyWindow, NegativeLevel, UnknownSymbol
 from cycosc.expr import parse
 from cycosc.fock import (
+    Banded,
     apply_word,
     build_rep,
     dump_matrices,
@@ -31,16 +32,16 @@ def test_structure_function_values(params_l2, params_l3):
 
 
 def test_ladder_entries_plain(params_plain):
-    rep = build_rep(params_plain, 4)
-    assert rep.mat_a[0, 1] == pytest.approx(1.0)
-    assert rep.mat_a[1, 2] == pytest.approx(math.sqrt(2))
+    a = build_rep(params_plain, 4).mat_a.toarray()
+    assert a[0, 1] == pytest.approx(1.0)
+    assert a[1, 2] == pytest.approx(math.sqrt(2))
 
 
 def test_ladder_entries_deformed(params_l2):
-    rep = build_rep(params_l2, 4)
-    assert rep.mat_a[0, 1] == pytest.approx(math.sqrt(1.5))
-    assert rep.mat_a[1, 2] == pytest.approx(math.sqrt(2.0))
-    assert rep.mat_a[2, 3] == pytest.approx(math.sqrt(3.5))
+    a = build_rep(params_l2, 4).mat_a.toarray()
+    assert a[0, 1] == pytest.approx(math.sqrt(1.5))
+    assert a[1, 2] == pytest.approx(math.sqrt(2.0))
+    assert a[2, 3] == pytest.approx(math.sqrt(3.5))
 
 
 def test_dim_guard(params_l3):
@@ -52,40 +53,45 @@ def test_klein_power_and_projector_algebra(rng):
     for lam in (2, 3, 4, 5):
         p = validate_alpha(lam, random_valid_alpha(rng, lam))
         rep = build_rep(p, 24)
+        mat_k, mat_a, mat_adag = (m.toarray() for m in (rep.mat_k, rep.mat_a, rep.mat_adag))
+        mat_p = [m.toarray() for m in rep.mat_p]
         eye = np.eye(24)
-        assert np.max(np.abs(np.linalg.matrix_power(rep.mat_k, lam) - eye)) < 1e-12
-        total = sum(rep.mat_p)
+        assert np.max(np.abs(np.linalg.matrix_power(mat_k, lam) - eye)) < 1e-12
+        total = sum(mat_p)
         assert np.max(np.abs(total - eye)) < 1e-12
         for mu in range(lam):
             for nu in range(lam):
-                target = rep.mat_p[nu] if mu == nu else 0.0
-                assert np.max(np.abs(rep.mat_p[mu] @ rep.mat_p[nu] - target)) < 1e-12
-        assert np.max(np.abs(rep.mat_adag - rep.mat_a.conj().T)) == 0.0
+                target = mat_p[nu] if mu == nu else 0.0
+                assert np.max(np.abs(mat_p[mu] @ mat_p[nu] - target)) < 1e-12
+        assert np.max(np.abs(mat_adag - mat_a.conj().T)) == 0.0
 
 
 def test_bracket_ground_truth(rng):
     for lam in (2, 3, 4, 5):
         p = validate_alpha(lam, random_valid_alpha(rng, lam))
         rep = build_rep(p, 24)
-        bracket = rep.mat_a @ rep.mat_adag - rep.mat_adag @ rep.mat_a - np.eye(24)
+        mat_k, mat_a, mat_adag = (m.toarray() for m in (rep.mat_k, rep.mat_a, rep.mat_adag))
+        bracket = mat_a @ mat_adag - mat_adag @ mat_a - np.eye(24)
         for r in range(1, lam):
-            bracket = bracket - p.kappa[r - 1] * np.linalg.matrix_power(rep.mat_k, r)
+            bracket = bracket - p.kappa[r - 1] * np.linalg.matrix_power(mat_k, r)
         assert np.max(np.abs(bracket[:23, :23])) < 1e-12
 
 
 def test_klein_exchange_with_ladders(params_l3):
     rep = build_rep(params_l3, 16)
     x = params_l3.root
-    res = rep.mat_adag @ rep.mat_k - x * rep.mat_k @ rep.mat_adag
+    mat_k, mat_adag = rep.mat_k.toarray(), rep.mat_adag.toarray()
+    res = mat_adag @ mat_k - x * mat_k @ mat_adag
     assert np.max(np.abs(res)) < 1e-14
 
 
 def test_number_and_structure_diagonals(params_l3):
     rep = build_rep(params_l3, 16)
-    nd = rep.mat_adag @ rep.mat_a
+    mat_a, mat_adag = rep.mat_a.toarray(), rep.mat_adag.toarray()
+    nd = mat_adag @ mat_a
     for n in range(16):
         assert nd[n, n] == pytest.approx(structure_function(params_l3, n), abs=1e-12)
-    raised = rep.mat_a @ rep.mat_adag
+    raised = mat_a @ mat_adag
     for n in range(15):
         assert raised[n, n] == pytest.approx(structure_function(params_l3, n + 1), abs=1e-12)
 
@@ -111,18 +117,18 @@ def test_apply_word_canonical_bracket(params_plain):
     rep = build_rep(params_plain, 12)
     mat = apply_word(rep, parse("a ad - ad a"))
     window = safe_window(rep, [parse("a ad - ad a")])
-    assert window_residual(mat - np.eye(12), window) < 1e-12
+    assert window_residual(mat - Banded.identity(12), window) < 1e-12
 
 
 def test_apply_word_klein_cycle(params_l3):
     rep = build_rep(params_l3, 12)
-    mat = apply_word(rep, parse("K^3"))
+    mat = apply_word(rep, parse("K^3")).toarray()
     assert np.max(np.abs(mat - np.eye(12))) < 1e-12
 
 
 def test_apply_word_partition_of_unity(params_l2):
     rep = build_rep(params_l2, 12)
-    mat = apply_word(rep, parse("P0 + P1"))
+    mat = apply_word(rep, parse("P0 + P1")).toarray()
     assert np.max(np.abs(mat - np.eye(12))) < 1e-12
 
 
@@ -156,7 +162,7 @@ def test_dump_matrices_roundtrip(params_l2):
     rebuilt = np.zeros((6, 6), dtype=complex)
     for i, j, re, im in a["entries"]:
         rebuilt[i, j] = complex(re, im)
-    assert np.max(np.abs(rebuilt - rep.mat_a)) < 1e-15
+    assert np.max(np.abs(rebuilt - rep.mat_a.toarray())) < 1e-15
 
 
 def _literal_tables(params, dim):
@@ -190,10 +196,11 @@ def test_build_rep_matches_literal_loops(lam, rng):
     for dim in (lam + 2, 2 * lam + 3, 40):
         rep = build_rep(params, dim)
         k, projectors, a = _literal_tables(params, dim)
-        assert np.array_equal(rep.mat_k, k)
-        assert all(np.array_equal(p, q) for p, q in zip(rep.mat_p, projectors, strict=True))
-        assert np.array_equal(rep.mat_a, a)
-        assert np.array_equal(rep.mat_adag, a.conj().T)
+        assert np.array_equal(rep.mat_k.toarray(), k)
+        assert all(np.array_equal(p.toarray(), q)
+                   for p, q in zip(rep.mat_p, projectors, strict=True))
+        assert np.array_equal(rep.mat_a.toarray(), a)
+        assert np.array_equal(rep.mat_adag.toarray(), a.conj().T)
 
 
 @pytest.mark.parametrize("lam, dim", [(2, 16), (3, 40), (5, 64)])
@@ -201,7 +208,7 @@ def test_spectrum_is_sorted_eigensolve(lam, dim):
     alpha = [0.0] * lam
     alpha[0], alpha[-1] = 0.4, -0.4
     rep = build_rep(validate_alpha(lam, alpha), dim)
-    block = rep.mat_h0[: dim - 1, : dim - 1]
+    block = rep.mat_h0.toarray()[: dim - 1, : dim - 1]
     assert np.max(np.abs(spectrum(rep) - np.sort(np.linalg.eigvalsh(block)))) < 1e-12
 
 
@@ -210,6 +217,7 @@ def test_dump_matrices_matches_entry_loop(params_l3):
     blob = dump_matrices(rep)
     named = {"N": rep.mat_n, "K": rep.mat_k, "a": rep.mat_a, "ad": rep.mat_adag, "H0": rep.mat_h0}
     named.update({f"P{mu}": p for mu, p in enumerate(rep.mat_p)})
+    named = {key: mat.toarray() for key, mat in named.items()}
     assert set(blob) == set(named)
     for key, mat in named.items():
         entries = [
@@ -219,3 +227,11 @@ def test_dump_matrices_matches_entry_loop(params_l3):
             if mat[i, j] != 0
         ]
         assert blob[key] == {"rows": 9, "cols": 9, "entries": entries}
+
+
+def test_rep_storage_is_linear_in_dim():
+    """Every generator is one diagonal: storage stays at one vector per field."""
+    lam, dim = 5, 256
+    rep = build_rep(validate_alpha(lam, (0.3, -0.1, 0.2, -0.25, -0.15)), dim)
+    fields = (rep.mat_n, rep.mat_k, rep.mat_a, rep.mat_adag, rep.mat_h0, *rep.mat_p)
+    assert sum(m.nbytes for m in fields) <= (lam + 5) * dim * 16

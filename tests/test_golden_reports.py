@@ -22,11 +22,11 @@ GOLDEN = [
     ),
     (
         ("--lambda", "3", "--kappa", "0.2:0.1,0.2:-0.1"),
-        "be5bb36674d7012495a1bcf5cf2e36a76f7fdb0c04c47821830a00374ebcf2f5",
+        "521d1a2d2527a5640f533250040ff37054a3b440f83215809b988e9f68fcb9e4",
     ),
     (
         ("--lambda", "5", "--alpha", "0.3,-0.1,0.2,-0.25,-0.15"),
-        "89296bca4518f9255406a8ae7f7d87779606903efceffb6f744e3f2201fa19f8",
+        "6fce5c89d2903c1171b6419d7ee22a41eaf8a2d6df287519ccdab915767f2326",
     ),
     (
         ("--lambda", "2", "--kappa", "0.5", "--phi-reading", "alt", "--N-reading", "alt"),
