@@ -27,7 +27,7 @@ from .expr import parse
 from .fock import build_rep, dump_matrices, spectrum, spectrum_closed_form
 from .identities import SUITES, run_suite
 from .normal_order import NormalForm, normal_form
-from .params import AlgebraParams, params_from_json, whole_number
+from .params import AlgebraParams, cyclic_order, params_from_json, whole_number
 from .winf import N_READINGS, PHI_READINGS, dual_readings, winf_structure
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ def _resolve_params(args, cfg: dict) -> AlgebraParams:
     lam = args.lam if args.lam is not None else cfg.get("lambda", 2)
     vectors = _flag_vectors(args) or {k: cfg[k] for k in ("alpha", "kappa") if k in cfg}
     if not vectors:  # undeformed: lambda zeros
-        vectors = {"alpha": [0.0] * whole_number(lam, "lambda")}
+        vectors = {"alpha": [0.0] * cyclic_order(lam)}
     return params_from_json({"lambda": lam, **vectors})
 
 

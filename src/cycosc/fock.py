@@ -332,9 +332,16 @@ def safe_window(rep: FockRep, exprs) -> SafeWindow:
     return SafeWindow(0, hi)
 
 
-def window_residual(mat: Banded, window: SafeWindow) -> float:
-    """Max absolute entry of `mat` over the safe-window columns."""
-    return mat.window_max(window.lo, window.hi)
+def window_residual(mat: Banded, window: SafeWindow, *scale: Banded) -> float:
+    """Max absolute entry of `mat` over the safe-window columns, relative to `scale`.
+
+    The maximum is divided by the largest window maximum of the `scale`
+    operands, floored at 1; with no operands it is the absolute maximum.
+    """
+    norm = 1.0
+    for op in scale:
+        norm = max(norm, op.window_max(window.lo, window.hi))
+    return mat.window_max(window.lo, window.hi) / norm
 
 
 def dump_matrices(rep: FockRep) -> dict:

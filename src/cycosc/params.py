@@ -33,19 +33,25 @@ from .errors import (
     BadLength, CycoscError, NotFinite, NotHermitian, NotReal, SumNotZero, UnitarityBound,
 )
 
+# Tolerances for inputs of magnitude up to 1; each scales with the largest
+# entry of the vector it checks (see `_magnitude`).
 SUM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 REALITY_TOL = 1e-10
 
-
-def unit_root(lam: int) -> complex:
-    """Primitive root x = exp(-2i pi / lam)."""
-    return cmath.exp(-2j * cmath.pi / lam)
+# The largest cyclic order the realization holds: build_rep needs dim >= lam + 2
+# and caps dim at fock.DIM_CAP = 256.  Checked before any O(lam) work.
+LAMBDA_MAX = 254
 
 
 def root_power(lam: int, j: int) -> complex:
     """x**j with the exponent reduced mod lam (keeps |x^j| = 1 exactly)."""
     return cmath.exp(-2j * cmath.pi * (j % lam) / lam)
+
+
+def _magnitude(values) -> float:
+    """The largest absolute entry of `values`, floored at 1: the scale of a tolerance."""
+    return max([1.0, *(abs(v) for v in values)])
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,16 @@ def whole_number(value, name: str) -> int:
     raise CycoscError(f"{name} must be a whole number, got {value}")
 
 
+def cyclic_order(value) -> int:
+    """`value` as a cyclic order: a whole number no larger than LAMBDA_MAX."""
+    lam = whole_number(value, "lambda")
+    if lam > LAMBDA_MAX:
+        raise CycoscError(
+            f"lambda {lam} exceeds {LAMBDA_MAX}, the largest order a dim-256 realization holds"
+        )
+    return lam
+
+
 def validate_alpha(lam: int, alpha) -> AlgebraParams:
     """Validate an alpha vector and derive beta, gamma and kappa.
 
@@ -103,8 +119,9 @@ def validate_alpha(lam: int, alpha) -> AlgebraParams:
     beta = [0.0]
     for a in alpha:
         beta.append(beta[-1] + a)
-    if abs(beta[-1]) > SUM_TOL:
-        raise SumNotZero(f"sum(alpha) = {beta[-1]:.3e} exceeds {SUM_TOL}")
+    sum_tol = SUM_TOL * _magnitude(alpha)
+    if abs(beta[-1]) > sum_tol:
+        raise SumNotZero(f"sum(alpha) = {beta[-1]:.3e} exceeds {sum_tol:.3e}")
     for mu in range(1, lam):
         if beta[mu] <= -1.0:
             raise UnitarityBound(
@@ -119,7 +136,7 @@ def validate_alpha(lam: int, alpha) -> AlgebraParams:
         kappa=tuple(kappa),
         beta=tuple(beta),
         gamma=gamma,
-        root=unit_root(lam),
+        root=root_power(lam, 1),
     )
 
 
@@ -147,9 +164,10 @@ def alpha_from_kappa(lam: int, kappa) -> tuple[float, ...]:
     kappa = tuple(complex(k) for k in kappa)
     if len(kappa) != lam - 1:
         raise BadLength(f"kappa must have {lam - 1} entries, got {len(kappa)}")
+    hermiticity_tol = HERMITICITY_TOL * _magnitude(kappa)
     for r in range(1, lam):
         partner = kappa[(lam - r) - 1]
-        if abs(kappa[r - 1].conjugate() - partner) > HERMITICITY_TOL:
+        if abs(kappa[r - 1].conjugate() - partner) > hermiticity_tol:
             raise NotHermitian(
                 f"kappa_{r}* != kappa_{lam - r} "
                 f"({kappa[r - 1].conjugate()} vs {partner})"
@@ -161,7 +179,7 @@ def alpha_from_kappa(lam: int, kappa) -> tuple[float, ...]:
             acc += kappa[r - 1] * root_power(lam, -mu * r)
         alpha.append(acc)
     worst = max(abs(a.imag) for a in alpha)
-    if worst > REALITY_TOL:
+    if worst > REALITY_TOL * _magnitude(alpha):
         raise NotReal(f"reconstructed alpha has imaginary residue {worst:.3e}")
     return tuple(a.real for a in alpha)
 
@@ -185,7 +203,7 @@ def params_from_json(obj) -> AlgebraParams:
         raise CycoscError(f"parameters must be a JSON object, got {obj!r}")
     if "lambda" not in obj:
         raise BadLength("parameter object must carry a 'lambda' field")
-    lam = whole_number(obj["lambda"], "lambda")
+    lam = cyclic_order(obj["lambda"])
     given = [key for key in ("alpha", "kappa") if key in obj]
     if len(given) != 1:
         raise BadLength(f"give exactly one of alpha / kappa, got {' and '.join(given) or 'none'}")

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleInPochhammer
+from .errors import NotFinite, PoleInPochhammer
 
 N_READINGS = ("literal", "alt")
 PHI_READINGS = ("literal", "alt")
@@ -79,7 +79,8 @@ def mode_factor(i: int, j: int, l: int, m: int, n: int, reading: str = "literal"
     reading 'literal' keeps the doubled [i+1+m] factor exactly as printed;
     'alt' uses the mixed-sign pattern [i+1+m] [i+1-m] [j+1+n] [j+1-n], the
     standard form (and the one whose l = 0 value reproduces the classical
-    bracket coefficient m (j+1) - n (i+1)).
+    bracket coefficient m (j+1) - n (i+1)).  Raises NotFinite when the sum
+    overflows.
     """
     if reading not in N_READINGS:
         raise ValueError(f"unknown N reading {reading!r}")
@@ -94,7 +95,7 @@ def mode_factor(i: int, j: int, l: int, m: int, n: int, reading: str = "literal"
             * falling(j + 1 + n, k)
             * falling(j + 1 - n, l + 1 - k)
         )
-    return acc
+    return _finite(acc, f"N({i},{j},{l})({m},{n})")
 
 
 def phi_factor(i: int, j: int, l: int, reading: str = "literal") -> float:
@@ -109,7 +110,7 @@ def phi_factor(i: int, j: int, l: int, reading: str = "literal") -> float:
     ((-l/2 + 1/2)_k upstairs, (-i + 1/2)_k and (-j + 1/2)_k downstairs).
     The series truncates once a numerator Pochhammer hits zero, and after
     its k = PHI_SERIES_CAP term otherwise; a zero denominator factor before
-    that raises PoleInPochhammer.
+    that raises PoleInPochhammer, and a sum that overflows raises NotFinite.
     """
     if reading not in PHI_READINGS:
         raise ValueError(f"unknown phi reading {reading!r}")
@@ -135,7 +136,14 @@ def phi_factor(i: int, j: int, l: int, reading: str = "literal") -> float:
                 )
             den *= piece
         total += num / den
-    return total
+    return _finite(total, f"phi({i},{j},{l})")
+
+
+def _finite(value: float, name: str) -> float:
+    """`value` itself; raises NotFinite if it is infinite or NaN."""
+    if not math.isfinite(value):
+        raise NotFinite(f"{name} = {value}: the series overflows")
+    return value
 
 
 @dataclass(frozen=True)
@@ -165,12 +173,15 @@ def winf_structure(
     n_reading: str = "literal",
     phi_reading: str = "literal",
 ) -> WInfConstants:
-    """Evaluate c_i, c_i(m), N^{ij}_l(m,n), phi^{ij}_l and g^{ij}_{2l}(m,n)."""
+    """Evaluate c_i, c_i(m), N^{ij}_l(m,n), phi^{ij}_l and g^{ij}_{2l}(m,n).
+
+    Raises NotFinite when any of the floating-point values overflows.
+    """
     if min(i, j, l) < 0:
         raise ValueError("indices i, j, l must be non-negative")
     value_n = mode_factor(i, j, l, m, n, n_reading)
     value_phi = phi_factor(i, j, l, phi_reading)
-    value_g = value_phi * value_n / (2.0 * (l + 1))
+    value_g = _finite(value_phi * value_n / (2.0 * (l + 1)), f"g({i},{j},{l})({m},{n})")
     return WInfConstants(
         i=i,
         j=j,

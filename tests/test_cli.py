@@ -197,6 +197,15 @@ def test_wconst_output(capsys):
     assert "N_literal" in out and "N_alt" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_wconst_overflow_exits_2(capsys, fmt):
+    """The phi series overflows from l = 115: a non-finite value is refused, never printed."""
+    code, out, err = run(capsys, "wconst", "--l", "150", "--format", fmt)
+    assert code == 2
+    assert err == "error: phi(0,0,150) = nan: the series overflows\n"
+    assert out == ""
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
     assert main(["nonsense"]) == 2
@@ -430,6 +439,18 @@ def test_too_deep_or_too_large_input_exits_2(tmp_path, capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_lambda_is_bounded_before_any_work(tmp_path, capsys, source):
+    """A huge lambda is refused before the default alpha list or the transform is built."""
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"lambda": 1000000000}))
+    argv = ("--lambda", "999999999") if source == "flag" else ("--config", str(cfg))
+    code, out, err = run(capsys, "nf", "a", *argv)
+    assert code == 2
+    assert err.startswith("error: lambda ") and "exceeds 254" in err
+    assert out == ""
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_refuses_an_overflowing_realization(tmp_path, capsys):
     out_file = tmp_path / "report.json"
@@ -452,7 +473,7 @@ JSON_VALUES = st.recursive(
 )
 NUMBERS = st.integers() | st.floats()
 CONFIGS = JSON_VALUES | st.fixed_dictionaries({}, optional={
-    "lambda": st.integers(max_value=8) | st.integers(-100, 8).map(float),
+    "lambda": st.integers() | st.integers(-(2**60), 2**60).map(float),
     "alpha": JSON_VALUES | st.lists(NUMBERS, max_size=9),
     "kappa": JSON_VALUES | st.lists(st.lists(NUMBERS, max_size=3), max_size=8),
     "dim": JSON_VALUES | st.integers(-2, 300),
@@ -463,13 +484,7 @@ CONFIGS = JSON_VALUES | st.fixed_dictionaries({}, optional={
 @settings(max_examples=300, deadline=None)
 @given(cfg_obj=CONFIGS)
 def test_config_boundary_never_raises(tmp_path_factory, cfg_obj):
-    """Any JSON config ends `nf` and `spectrum` with exit 0 or 2, never an exception.
-
-    lambda is drawn from whole numbers <= 8 only: nothing bounds lambda before
-    the default alpha list and the O(lambda^2) alpha/kappa transform are
-    built, so a large lambda costs unbounded time and memory instead of an
-    error.
-    """
+    """Any JSON config ends `nf` and `spectrum` with exit 0 or 2, never an exception."""
     cfg = tmp_path_factory.mktemp("cfg") / "params.json"
     cfg.write_text(json.dumps(cfg_obj))
     for argv in (["nf", "a", "--config", str(cfg)], ["spectrum", "--config", str(cfg)]):

@@ -13,7 +13,9 @@ from cycosc.errors import (
     UnitarityBound,
 )
 from cycosc.params import (
+    LAMBDA_MAX,
     alpha_from_kappa,
+    cyclic_order,
     kappa_from_alpha,
     params_from_json,
     params_from_kappa,
@@ -187,3 +189,27 @@ def test_json_refuses_bad_shapes(obj):
 def test_json_accepts_whole_and_integer_entries():
     assert params_from_json({"lambda": 2.0, "alpha": [1, -1]}) == validate_alpha(2, (1.0, -1.0))
     assert params_from_json({"lambda": 2, "kappa": [[1, 0]]}) == params_from_kappa(2, [1.0])
+
+
+def test_tolerances_scale_with_the_input():
+    """Round-off on large inputs is accepted: each tolerance scales with its vector's size."""
+    big = validate_alpha(5, (4e4, -1e4, -1e4, -1e4, -1e4))
+    again = params_from_kappa(5, big.kappa)
+    assert np.max(np.abs(np.array(again.alpha) - big.alpha)) < 1e-12 * 4e4
+    p = params_from_json({"lambda": 2, "kappa": [[1e6, 0.0]]})
+    assert p.alpha == pytest.approx((1e6, -1e6))
+    rng = np.random.default_rng(5)
+    for lam in (5, 7, 64, 254):
+        for _ in range(3):
+            # a lead entry near 2e4 drained by the others keeps every partial sum >= 0
+            rest = rng.uniform(0.0, 4e4 / (lam - 1), lam - 1)
+            p = validate_alpha(lam, (rest.sum(), *-rest))
+            back = params_from_kappa(lam, p.kappa)
+            assert np.max(np.abs(np.array(back.alpha) - p.alpha)) < 1e-12 * p.alpha[0]
+
+
+def test_lambda_bound():
+    assert cyclic_order(LAMBDA_MAX) == LAMBDA_MAX == 254
+    for bad in (LAMBDA_MAX + 1, 10**9, float(10**12)):
+        with pytest.raises(CycoscError, match="exceeds 254"):
+            params_from_json({"lambda": bad, "alpha": [0.0, 0.0]})
