@@ -137,7 +137,7 @@ def format_nf_text(nf: NormalForm) -> str:
     """Human layout: one line per monomial, sorted by (p, q, r)."""
     lines = []
     for (p, q, r), c in nf.sorted_terms():
-        if abs(c.imag) < 1e-14:
+        if abs(c.imag) < 1e-14 * max(1.0, abs(c)):  # round-off relative to the coefficient
             coeff = f"{c.real:.12g}"
         else:
             coeff = f"({c.real:.12g},{c.imag:.12g})"

@@ -140,7 +140,7 @@ class Banded:
 
     def window_max(self, lo: int, hi: int) -> float:
         """Largest absolute entry in columns lo..hi (NaN if any entry is NaN)."""
-        peaks = [np.max(np.abs(vec[lo : hi + 1])) for vec in self.bands.values()]
+        peaks = [np.abs(vec[lo : hi + 1]).max() for vec in self.bands.values()]
         return float(np.max(peaks, initial=0.0))
 
     def entries(self):
@@ -193,7 +193,7 @@ class FockRep:
         raise UnknownSymbol(f"no matrix for atom {kind!r}")
 
     def matrix_power(self, kind: str, n: int) -> Banded:
-        """Cached powers of single generators (a, ad, K)."""
+        """Cached powers of single generators (a, ad, K, N, I)."""
         key = (kind, n)
         if key not in self._cache:
             self._cache[key] = self.atom_matrix(kind).power(n)
@@ -305,6 +305,8 @@ def apply_word(rep: FockRep, e: ex.OperatorExpr) -> Banded:
             acc = acc @ apply_word(rep, f)
         return acc
     if isinstance(e, ex.Power):
+        if isinstance(e.base, ex.Atom):
+            return rep.matrix_power(e.base.kind, e.exponent)
         return apply_word(rep, e.base).power(e.exponent)
     if isinstance(e, ex.Commutator):
         left = apply_word(rep, e.left)

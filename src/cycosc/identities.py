@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import product
 from typing import NamedTuple
@@ -485,13 +485,15 @@ def check_lambda2(params: AlgebraParams, dim: int) -> list:
 # higher-spin family
 
 
+@lru_cache(maxsize=256)
 def _xi_side(params: AlgebraParams, s: int, m: int, t: int):
     """Per-level terms of the published Xi^{(s,m)} coefficient sum.
 
     Term l (0 <= l <= m-1) is (m - l) (t + F x^{l+s}) beta_l^{[s]} with the
     tower taken from the product of m lowering factors against t raising
     factors, and the bracketed-power substitution x^j -> x^{js} applied to
-    the printed beta formulas.  Returns an (m x lam) array, one K-polynomial a row.
+    the printed beta formulas.  Returns a read-only (m x lam) array, one
+    K-polynomial a row, built once per argument and shared by every check.
     """
     F = f_kpoly(params, t + 1, "paper")
     out = np.zeros((m, params.lam), dtype=complex)
@@ -500,6 +502,7 @@ def _xi_side(params: AlgebraParams, s: int, m: int, t: int):
         pref = _kpoly(params, t, lambda _, r: F.vec[r] * phase)
         beta = beta_closed_form(m, t + 1, l, params, subst=s)
         out[l] = (m - l) * kpoly_mul(pref, beta)
+    out.setflags(write=False)
     return out
 
 
@@ -609,7 +612,16 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
 
 
 def check_wconst(phi_reading: str = "literal", n_reading: str = "literal") -> list:
-    """Central charges and dual-reading structure constants, realization-free."""
+    """Central charges and dual-reading structure constants, realization-free.
+
+    The entries are built once per pair of readings; each call gets fresh
+    copies (the fitted values are numbers and strings).
+    """
+    return [replace(c, fitted=dict(c.fitted)) for c in _wconst_checks(phi_reading, n_reading)]
+
+
+@lru_cache(maxsize=8)
+def _wconst_checks(phi_reading: str, n_reading: str) -> tuple:
     worst = 0.0
     fitted = {}
     for i in range(11):
@@ -630,7 +642,7 @@ def check_wconst(phi_reading: str = "literal", n_reading: str = "literal") -> li
                 values["g"] = winf_structure(i, j, l, 1, -1, n_reading, phi_reading).value_g
                 values["readings"] = f"N={n_reading},phi={phi_reading}"
                 checks.append(_ungraded(f"wconst.g.i{i}.j{j}.l{l}", "pass", values))
-    return checks
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

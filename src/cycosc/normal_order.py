@@ -35,7 +35,7 @@ import numpy as np
 from . import expr as ex
 from .errors import BadRange, FormulaGap, LambdaMismatch, UnknownSymbol
 from .fock import Banded, FockRep
-from .params import AlgebraParams, root_power
+from .params import AlgebraParams, root_power, root_table
 
 PRUNE_TOL = 1e-13
 
@@ -129,15 +129,16 @@ def nf_mul(x: NormalForm, y: NormalForm, params: AlgebraParams) -> NormalForm:
             f"orders disagree: {x.lam}, {y.lam}, params {params.lam}"
         )
     lam = params.lam
+    xs = root_table(lam)
     out = {}
     for (p1, q1, r1), c1 in x.terms.items():
         for (p2, q2, r2), c2 in y.terms.items():
             # K^{r1} crosses (a+)^{p2} a^{q2}: phase x^{r1 (q2 - p2)}
-            base = c1 * c2 * root_power(lam, r1 * (q2 - p2))
+            base = c1 * c2 * xs[r1 * (q2 - p2) % lam]
             for (pc, qc, rc), cc in _reorder_core(lam, params.kappa, q1, p2):
                 # K^{rc} crosses a^{q2}: phase x^{rc q2}
                 key = (p1 + pc, qc + q2, (rc + r1 + r2) % lam)
-                out[key] = out.get(key, 0.0) + base * cc * root_power(lam, rc * q2)
+                out[key] = out.get(key, 0.0) + base * cc * xs[rc * q2 % lam]
     return _pruned(lam, out)
 
 
@@ -161,11 +162,19 @@ def nf_adjoint(x: NormalForm, params: AlgebraParams) -> NormalForm:
 
 
 def nf_to_matrix(x: NormalForm, rep: FockRep) -> Banded:
-    """Reconstruct the matrix sum_{p,q,r} c (a+)^p a^q K^r, term by sorted term."""
-    out = Banded(rep.dim, {})
+    """Reconstruct the matrix sum_{p,q,r} c (a+)^p a^q K^r, term by sorted term.
+
+    Each monomial is the single diagonal p - q (absent when it leaves the
+    truncation), added straight into that diagonal of the sum.
+    """
+    bands = {}
     for (p, q, r), c in sorted(x.terms.items()):
-        out = out + c * rep.monomial(p, q, r)
-    return out
+        offset = p - q
+        vec = rep.monomial(p, q, r).bands.get(offset)
+        if vec is not None:
+            vec = c * vec
+            bands[offset] = bands[offset] + vec if offset in bands else vec
+    return Banded(rep.dim, bands)
 
 
 def _projector_form(params: AlgebraParams, mu: int) -> NormalForm:
@@ -279,8 +288,9 @@ def left_read(nf: NormalForm, p: int, q: int) -> np.ndarray:
 # reordering tower
 
 
+@lru_cache(maxsize=1024)
 def geometric_f(r: int, m: int, lam: int, sign: int = 1) -> complex:
-    """Root-of-unity sum sum_{p=0}^{m-1} exp(sign * (-2i pi r p / lam)).
+    """Root-of-unity sum sum_{p=0}^{m-1} exp(sign * (-2i pi r p / lam)), memoized.
 
     The sign parameter lets verification code probe both phase conventions.
     """
@@ -378,11 +388,18 @@ def f_coefficient(r: int, m: int, lam: int, variant: str) -> complex:
 
 
 def f_kpoly(params: AlgebraParams, m: int, variant: str) -> _KPoly:
-    """F = sum_r f_r kappa_r K^r as a K-polynomial."""
-    out = _KPoly(params.lam)
+    """F = sum_r f_r kappa_r K^r as a K-polynomial with a fresh vector of its own."""
+    return _KPoly(params.lam, _f_vec(params, m, variant).copy())
+
+
+@lru_cache(maxsize=256)
+def _f_vec(params: AlgebraParams, m: int, variant: str) -> np.ndarray:
+    """The read-only coefficient vector of `f_kpoly`, built once per argument."""
+    vec = np.zeros(params.lam, dtype=complex)
     for r in range(1, params.lam):
-        out.vec[r] = f_coefficient(r, m, params.lam, variant) * params.kappa[r - 1]
-    return out
+        vec[r] = f_coefficient(r, m, params.lam, variant) * params.kappa[r - 1]
+    vec.setflags(write=False)
+    return vec
 
 
 def beta_closed_form(

@@ -26,6 +26,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +47,13 @@ LAMBDA_MAX = 254
 
 def root_power(lam: int, j: int) -> complex:
     """x**j with the exponent reduced mod lam (keeps |x^j| = 1 exactly)."""
-    return cmath.exp(-2j * cmath.pi * (j % lam) / lam)
+    return root_table(lam)[j % lam]
+
+
+@lru_cache(maxsize=LAMBDA_MAX)
+def root_table(lam: int) -> tuple[complex, ...]:
+    """x**j for j = 0..lam-1: each root of unity evaluated once per order."""
+    return tuple(cmath.exp(-2j * cmath.pi * j / lam) for j in range(lam))
 
 
 def _magnitude(values) -> float:

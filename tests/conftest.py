@@ -1,5 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
+
+import cycosc
 
 from cycosc.params import validate_alpha
 
@@ -11,6 +16,17 @@ def random_valid_alpha(rng, lam):
     """
     head = rng.uniform(-0.2, 0.2, lam - 1)
     return np.append(head, -head.sum())
+
+
+def lru_caches() -> dict:
+    """Every functools cache bound at the top level of a cycosc module, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(cycosc.__path__):
+        module = importlib.import_module(f"cycosc.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = value
+    return found
 
 
 @pytest.fixture

@@ -55,6 +55,17 @@ def test_nf_json_roundtrip(capsys):
     assert terms[(0, 0, 1)] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("alpha, k_line", [("1e6,-1e6", "1000000 K"), ("0.5,-0.5", "0.5 K")])
+def test_nf_text_hides_round_off_relative_to_the_coefficient(capsys, alpha, k_line):
+    """The kappa DFT leaves an imaginary part of about 1e-16 times kappa: printed as real."""
+    code, out, _ = run(capsys, "nf", "[a, ad]", "--lambda", "2", "--alpha", alpha)
+    assert code == 0
+    assert out.splitlines() == ["1 I", k_line]
+    code, out, _ = run(capsys, "nf", "[a, ad]", "--lambda", "2", "--alpha", alpha,
+                       "--format", "json")
+    assert json.loads(out)["terms"][1]["im"] != 0.0  # the JSON keeps the exact value
+
+
 def test_commutator_sugar(capsys):
     code_a, out_a, _ = run(capsys, "commutator", "a", "ad", "--lambda", "2", "--kappa", "0.5")
     code_b, out_b, _ = run(capsys, "nf", "[a, ad]", "--lambda", "2", "--kappa", "0.5")

@@ -1,4 +1,5 @@
-"""Byte-level contract: full-suite reports at the dim=64 grid configs.
+"""Byte-level contract: full-suite reports at the dim=64 grid configs and at
+one verify-sweep-shaped config (lambda 7, dim 20).
 
 A refactor that keeps the arithmetic must leave these files unchanged.  A
 change that moves any number in a report has to update the pinned hash and
@@ -32,13 +33,18 @@ GOLDEN = [
         ("--lambda", "2", "--kappa", "0.5", "--phi-reading", "alt", "--N-reading", "alt"),
         "c03d77ec2ada56a7621b18351b29e385395430595748f4a5c4426d38c79966a4",
     ),
+    (
+        ("--lambda", "7", "--alpha", "0.3,-0.2,0.1,-0.4,0.2,0.15,-0.15", "--dim", "20"),
+        "214e5bddabee3dccd4c9e3e3b676277f9efceb96fea1ccc8acfc081da945f8a8",
+    ),
 ]
 
 
 @pytest.mark.parametrize("cfg, digest", GOLDEN, ids=[" ".join(c) for c, _ in GOLDEN])
 def test_report_bytes_pinned(tmp_path, capsys, cfg, digest):
     path = tmp_path / "report.json"
-    code = main(["verify", *cfg, "--dim", "64", "--suite", "all", "--out", str(path)])
+    dim = () if "--dim" in cfg else ("--dim", "64")
+    code = main(["verify", *cfg, *dim, "--suite", "all", "--out", str(path)])
     capsys.readouterr()
     assert code in (0, 1)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,9 @@ from cycosc.normal_order import (
 )
 from cycosc.params import validate_alpha
 
-from conftest import random_valid_alpha
+from conftest import lru_caches, random_valid_alpha
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cycosc"
 
 
 def test_deformed_bracket_expansion(params_l2):
@@ -242,3 +247,15 @@ def test_rewrite_memo_is_bounded():
         normal_form(word, validate_alpha(2, (shift, -shift)))
     assert normal_order._reorder_core.cache_info().currsize <= 1024
     assert normal_order._a_times_adpow.cache_info().currsize <= 1024
+
+    # every memo in the package is bounded, and every one in the source is seen here
+    caches = lru_caches()
+    unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
+    decorators = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if re.match(r"\s*@(functools\.)?(lru_cache|cache)\b", line)
+    ]
+    assert len(decorators) == len(caches), decorators
