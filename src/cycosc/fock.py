@@ -138,10 +138,28 @@ class Banded:
                 result = z if result is None else result @ z
         return result
 
-    def window_max(self, lo: int, hi: int) -> float:
-        """Largest absolute entry in columns lo..hi (NaN if any entry is NaN)."""
-        peaks = [np.abs(vec[lo : hi + 1]).max() for vec in self.bands.values()]
-        return float(np.max(peaks, initial=0.0))
+    def window_max(self, lo: int, hi: int, minus: Banded | None = None) -> float:
+        """Largest absolute entry of self (- minus) in columns lo..hi.
+
+        NaN if any such entry is NaN, 0.0 with no bands.  The difference is
+        taken on the window columns only.
+        """
+        cols = slice(lo, hi + 1)
+        if minus is None:
+            pieces = [vec[cols] for vec in self.bands.values()]
+        else:
+            other = minus.bands
+            pieces = [vec[cols] - other[offset][cols] if offset in other else vec[cols]
+                      for offset, vec in self.bands.items()]
+            pieces += [vec[cols] for offset, vec in other.items() if offset not in self.bands]
+        peak = 0.0
+        for piece in pieces:
+            band = float(np.abs(piece).max())
+            if band > peak:
+                peak = band
+            elif band != band:  # NaN: no later band may replace it
+                return band
+        return peak
 
     def entries(self):
         """(row, col, value) of every nonzero entry, in row-major order."""
@@ -199,15 +217,34 @@ class FockRep:
             self._cache[key] = self.atom_matrix(kind).power(n)
         return self._cache[key]
 
-    def monomial(self, p: int, q: int, r: int) -> Banded:
-        """Cached (a+)^p a^q K^r, multiplied left to right."""
-        key = (p, q, r)
+    def grade_table(self, p: int, q: int) -> np.ndarray | None:
+        """Cached diagonals of (a+)^p a^q K^r for r = 0..lam-1, one row each.
+
+        Row r is the single diagonal p - q of the product multiplied left to
+        right; None when the product leaves the truncation.  The rows share
+        one read-only (lam, dim) array, the only copy of these diagonals.
+        """
+        key = ("grade", p, q)
         if key not in self._cache:
             term = self.matrix_power("ad", p) @ self.matrix_power("a", q)
-            if r:
-                term = term @ self.matrix_power("K", r)
-            self._cache[key] = term
+            base = term.bands.get(p - q)
+            table = None
+            if base is not None:
+                table = np.empty((self.params.lam, self.dim), dtype=complex)
+                table[0] = base
+                for r in range(1, self.params.lam):
+                    # the one product of `term @ K^r`, with its operand order
+                    np.multiply(base, self.matrix_power("K", r).bands[0], out=table[r])
+                table.setflags(write=False)
+            self._cache[key] = table
         return self._cache[key]
+
+    def monomial(self, p: int, q: int, r: int) -> Banded:
+        """(a+)^p a^q K^r for 0 <= r < lam, a view of its row of `grade_table`."""
+        if not 0 <= r < self.params.lam:
+            raise ValueError(f"Klein power {r} outside 0..{self.params.lam - 1}")
+        table = self.grade_table(p, q)
+        return Banded(self.dim, {} if table is None else {p - q: table[r]})
 
 
 # Lifting the cap waits for truncation-independent residuals: the oracle gate
@@ -334,16 +371,18 @@ def safe_window(rep: FockRep, exprs) -> SafeWindow:
     return SafeWindow(0, hi)
 
 
-def window_residual(mat: Banded, window: SafeWindow, *scale: Banded) -> float:
-    """Max absolute entry of `mat` over the safe-window columns, relative to `scale`.
+def window_residual(mat: Banded, window: SafeWindow, *scale: Banded,
+                    minus: Banded | None = None, floor: float = 1.0) -> float:
+    """Max absolute entry of `mat` (- `minus`) over the safe-window columns, relative to `scale`.
 
     The maximum is divided by the largest window maximum of the `scale`
-    operands, floored at 1; with no operands it is the absolute maximum.
+    operands, floored at `floor`; with no operands and the default floor of 1
+    it is the absolute maximum.
     """
-    norm = 1.0
+    norm = floor
     for op in scale:
         norm = max(norm, op.window_max(window.lo, window.hi))
-    return mat.window_max(window.lo, window.hi) / norm
+    return mat.window_max(window.lo, window.hi, minus) / norm
 
 
 def dump_matrices(rep: FockRep) -> dict:

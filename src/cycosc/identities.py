@@ -155,6 +155,8 @@ class _Dual:
         self.nf = normal_form(e, rep.params)
         # normal-form terms keep the word's net degree, so one window serves both oracles
         self.window = safe_window(rep, [e])
+        # the word's own window peak, floored at 1: the scale of every residual against it
+        self.floor = max(1.0, self.mat.window_max(self.window.lo, self.window.hi))
         self.gate = self.against(self.nf)
         if not math.isfinite(self.gate):
             raise NotFinite(f"gate {self.gate} at dim {rep.dim}: the realization overflows")
@@ -170,7 +172,7 @@ class _Dual:
             return window_residual(self.mat, self.window, *scale)
         if isinstance(published, NormalForm):
             published = nf_to_matrix(published, self.rep)
-        return window_residual(self.mat - published, self.window, self.mat, *scale)
+        return window_residual(self.mat, self.window, *scale, minus=published, floor=self.floor)
 
 
 def _c2(value: complex):
@@ -377,7 +379,7 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
     for l, poly in enumerate(tower.coeffs[:m]):
         tower_nf = nf_add(tower_nf, kpoly_left_mul(poly, m - 1 - l, n - 1 - l, lam))
     prod_mat = rep.matrix_power("a", n - 1) @ rep.matrix_power("ad", m - 1)
-    res_tower = window_residual(prod_mat - nf_to_matrix(tower_nf, rep), d.window, prod_mat)
+    res_tower = window_residual(prod_mat, d.window, prod_mat, minus=nf_to_matrix(tower_nf, rep))
 
     fitted = {"assembly_oracle_beta": res_oracle, "assembly_closed_beta": res_closed,
               "tower_matrix_residual": res_tower, "on_support": bool(on_support)}

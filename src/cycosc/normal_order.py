@@ -38,6 +38,7 @@ from .fock import Banded, FockRep
 from .params import AlgebraParams, root_power, root_table
 
 PRUNE_TOL = 1e-13
+_NEG_ZERO = complex(-0.0, -0.0)  # the one complex x with x + y == y bit for bit
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,18 @@ def nf_mul(x: NormalForm, y: NormalForm, params: AlgebraParams) -> NormalForm:
         raise LambdaMismatch(
             f"orders disagree: {x.lam}, {y.lam}, params {params.lam}"
         )
-    lam = params.lam
+    return _mul(x, y, params.lam, params.kappa)
+
+
+def _mul(x: NormalForm, y: NormalForm, lam: int, kappa: tuple) -> NormalForm:
+    """`nf_mul` over (lam, kappa) without the order check."""
     xs = root_table(lam)
     out = {}
     for (p1, q1, r1), c1 in x.terms.items():
         for (p2, q2, r2), c2 in y.terms.items():
             # K^{r1} crosses (a+)^{p2} a^{q2}: phase x^{r1 (q2 - p2)}
             base = c1 * c2 * xs[r1 * (q2 - p2) % lam]
-            for (pc, qc, rc), cc in _reorder_core(lam, params.kappa, q1, p2):
+            for (pc, qc, rc), cc in _reorder_core(lam, kappa, q1, p2):
                 # K^{rc} crosses a^{q2}: phase x^{rc q2}
                 key = (p1 + pc, qc + q2, (rc + r1 + r2) % lam)
                 out[key] = out.get(key, 0.0) + base * cc * xs[rc * q2 % lam]
@@ -147,6 +152,19 @@ def nf_power(x: NormalForm, n: int, params: AlgebraParams) -> NormalForm:
     for _ in range(n):
         acc = nf_mul(acc, x, params)
     return acc
+
+
+_GENERATORS = {"a": (0, 1, 0), "ad": (1, 0, 0), "K": (0, 0, 1)}  # kind -> (p, q, r)
+
+
+@lru_cache(maxsize=1024)
+def _generator_power(lam: int, kappa: tuple, kind: str, n: int) -> tuple:
+    """Terms of a, a+ or K to the n-th power, multiplied out as `nf_power` does."""
+    x = nf_monomial(lam, *_GENERATORS[kind])
+    acc = nf_monomial(lam, 0, 0, 0)
+    for _ in range(n):
+        acc = _mul(acc, x, lam, kappa)
+    return tuple(acc.terms.items())
 
 
 def nf_adjoint(x: NormalForm, params: AlgebraParams) -> NormalForm:
@@ -164,16 +182,28 @@ def nf_adjoint(x: NormalForm, params: AlgebraParams) -> NormalForm:
 def nf_to_matrix(x: NormalForm, rep: FockRep) -> Banded:
     """Reconstruct the matrix sum_{p,q,r} c (a+)^p a^q K^r, term by sorted term.
 
-    Each monomial is the single diagonal p - q (absent when it leaves the
-    truncation), added straight into that diagonal of the sum.
+    Each monomial is the single diagonal p - q, row r of its grade's table
+    (absent when it leaves the truncation).  The terms on one diagonal are
+    scaled in one product, coefficient on the left as in `c * vec` (numpy's
+    SIMD complex multiply rounds differently with its operands swapped), and
+    summed in sorted order by one axis-0 sum, which numpy takes row after row
+    over a C-contiguous stack.  The sum starts from -0 - 0j, which leaves the
+    first row's bits unchanged (signed zeros too).
     """
-    bands = {}
+    groups = {}
     for (p, q, r), c in sorted(x.terms.items()):
-        offset = p - q
-        vec = rep.monomial(p, q, r).bands.get(offset)
-        if vec is not None:
-            vec = c * vec
-            bands[offset] = bands[offset] + vec if offset in bands else vec
+        table = rep.grade_table(p, q)
+        if table is not None:
+            coeffs, rows = groups.setdefault(p - q, ([], []))
+            coeffs.append(c)
+            rows.append(table[r])
+    bands = {}
+    for offset, (coeffs, rows) in groups.items():
+        if len(rows) == 1:
+            bands[offset] = coeffs[0] * rows[0]
+        else:
+            scaled = np.array(coeffs)[:, None] * np.array(rows)
+            bands[offset] = scaled.sum(axis=0, initial=_NEG_ZERO)
     return Banded(rep.dim, bands)
 
 
@@ -201,12 +231,8 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
     """Canonical expansion of an expression tree (total on valid input)."""
     lam = params.lam
     match e:
-        case ex.Atom("a"):
-            return nf_monomial(lam, 0, 1, 0)
-        case ex.Atom("ad"):
-            return nf_monomial(lam, 1, 0, 0)
-        case ex.Atom("K"):
-            return nf_monomial(lam, 0, 0, 1)
+        case ex.Atom(kind) if kind in _GENERATORS:
+            return nf_monomial(lam, *_GENERATORS[kind])
         case ex.Atom("I"):
             return nf_monomial(lam, 0, 0, 0)
         case ex.Atom("N"):
@@ -229,6 +255,9 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
             for f in factors[1:]:
                 acc = nf_mul(acc, normal_form(f, params), params)
             return acc
+        case ex.Power(ex.Atom(kind), exponent) if kind in _GENERATORS:
+            # a fresh dict: callers may edit a form's terms
+            return NormalForm(lam, dict(_generator_power(lam, params.kappa, kind, exponent)))
         case ex.Power(base, exponent):
             return nf_power(normal_form(base, params), exponent, params)
         case ex.Commutator(left, right):
@@ -249,7 +278,7 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
 def kpoly_left_mul(poly, p: int, q: int, lam: int) -> NormalForm:
     """Normal form of (sum_r poly[r] K^r) (a+)^p a^q with the poly on the left."""
     terms = {}
-    for r, c in enumerate(poly):
+    for r, c in enumerate(np.asarray(poly).tolist()):
         if abs(c) < PRUNE_TOL:
             continue
         terms[(p, q, r % lam)] = complex(c) * root_power(lam, r * (q - p))
@@ -263,25 +292,25 @@ def kpoly_mul(x, y, scale=1.0) -> np.ndarray:
     the rounding of a right side printed as a sum of such triple products.
     """
     lam = len(x)
-    out = np.zeros(lam, dtype=complex)
-    for r1, c1 in enumerate(x):
+    out = [0j] * lam
+    ys = list(enumerate(np.asarray(y).tolist()))
+    for r1, c1 in enumerate(np.asarray(x).tolist()):
         if c1 == 0:
             continue
-        for r2, c2 in enumerate(y):
+        for r2, c2 in ys:
             if c2 == 0:
                 continue
             out[(r1 + r2) % lam] += c1 * c2 * scale
-    return out
+    return np.array(out, dtype=complex)
 
 
 def left_read(nf: NormalForm, p: int, q: int) -> np.ndarray:
     """Left-positioned K-polynomial multiplying (a+)^p a^q inside `nf`."""
     lam = nf.lam
-    poly = np.zeros(lam, dtype=complex)
-    for r in range(lam):
-        c = nf.coefficient(p, q, r)
-        poly[r] = c * root_power(lam, r * (p - q))
-    return poly
+    xs = root_table(lam)
+    return np.array(
+        [nf.coefficient(p, q, r) * xs[r * (p - q) % lam] for r in range(lam)], dtype=complex
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -263,3 +263,62 @@ def test_rep_storage_is_linear_in_dim():
     rep = build_rep(validate_alpha(lam, (0.3, -0.1, 0.2, -0.25, -0.15)), dim)
     fields = (rep.mat_n, rep.mat_k, rep.mat_a, rep.mat_adag, rep.mat_h0, *rep.mat_p)
     assert sum(m.nbytes for m in fields) <= (lam + 5) * dim * 16
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_window_max_is_nan_when_a_window_entry_is_nan(nan_first):
+    clean = np.array([3.0, -7.0, 2.0, 1.0], dtype=complex)
+    spoiled = np.array([0.5, complex(np.nan, 0.0), 0.25, 0.0], dtype=complex)
+    bands = {0: spoiled, 1: clean} if nan_first else {1: clean, 0: spoiled}
+    assert math.isnan(Banded(4, bands).window_max(0, 2))
+    assert math.isnan(Banded(4, {0: clean}).window_max(0, 2, minus=Banded(4, bands)))
+
+
+def test_window_max_ignores_nan_outside_the_window():
+    vec = np.array([1.0, -4.0, 2.0, np.nan], dtype=complex)
+    lower = np.array([0.0, 5.0, 1.0, 0.0], dtype=complex)
+    assert Banded(4, {0: vec, -1: lower}).window_max(1, 2) == 5.0
+    assert Banded(4, {0: vec}).window_max(0, 2) == 4.0
+
+
+def test_window_max_of_no_bands_is_zero():
+    assert Banded(5, {}).window_max(0, 4) == 0.0
+    assert Banded(5, {}).window_max(1, 3, minus=Banded(5, {})) == 0.0
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_window_residual_minus_is_the_residual_of_the_difference(count):
+    rng = np.random.default_rng(10 + count)
+    for _ in range(50):
+        dim = int(rng.integers(1, 10))
+        window = SafeWindow(*sorted(int(j) for j in rng.integers(0, dim, size=2)))
+        mat, other, *ops = (_random_band(rng, dim) for _ in range(2 + count))
+        floor = max(1.0, mat.window_max(window.lo, window.hi))
+        assert window_residual(mat, window, *ops, minus=other) == window_residual(
+            mat - other, window, *ops
+        )
+        assert window_residual(mat, window, *ops, minus=other, floor=floor) == window_residual(
+            mat - other, window, mat, *ops
+        )
+
+
+@pytest.mark.parametrize("lam", range(2, 9))
+def test_grade_table_rows_are_the_literal_products_bit_for_bit(lam, rng):
+    params = validate_alpha(lam, random_valid_alpha(rng, lam) * 0.5)
+    dim = lam + 6
+    rep = build_rep(params, dim)
+    for p in range(dim + 2):
+        for q in range(dim + 2):
+            term = rep.matrix_power("ad", p) @ rep.matrix_power("a", q)
+            table = rep.grade_table(p, q)
+            if p - q not in term.bands:
+                assert table is None
+                assert rep.monomial(p, q, 0).bands == {}
+                continue
+            assert not table.flags.writeable
+            for r in range(lam):
+                literal = term @ rep.matrix_power("K", r) if r else term
+                assert table[r].tobytes() == literal.bands[p - q].tobytes()
+                assert rep.monomial(p, q, r).bands[p - q].tobytes() == table[r].tobytes()
+    with pytest.raises(ValueError):
+        rep.monomial(1, 0, lam)

@@ -1,8 +1,9 @@
 """The Z_lambda tables and memos: each value computed once, none shared mutably.
 
-Roots of unity, the geometric sums f_r, the F polynomials, the Xi right sides
-and the wconst entries are memoized.  These tests pin that a memo is hit
-rather than recomputed, and that no caller can change what a later one reads.
+Roots of unity, the geometric sums f_r, the F polynomials, the Xi right sides,
+the normal forms of single-generator powers and the wconst entries are
+memoized.  These tests pin that a memo is hit rather than recomputed, and
+that no caller can change what a later one reads.
 """
 
 import json
@@ -10,9 +11,10 @@ import json
 import numpy as np
 import pytest
 
+from cycosc import expr as ex
 from cycosc import identities, normal_order, params
 from cycosc.identities import check_general, check_single_mode, check_wconst, run_suite
-from cycosc.normal_order import f_kpoly
+from cycosc.normal_order import f_kpoly, normal_form
 from cycosc.params import validate_alpha
 
 from conftest import lru_caches
@@ -86,6 +88,14 @@ def test_shared_values_are_read_only_or_fresh():
 
     check_wconst()[0].fitted.clear()
     assert check_wconst()[0].fitted
+
+    for kind in ("a", "ad", "K"):
+        power = ex.Power(ex.Atom(kind), 4)
+        first = normal_form(power, p)
+        expected = dict(first.terms)
+        first.terms.clear()
+        first.terms[(9, 9, 0)] = 99.0
+        assert normal_form(power, p).terms == expected
 
 
 @pytest.mark.parametrize("m", range(1, 6))

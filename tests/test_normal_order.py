@@ -7,14 +7,17 @@ import pytest
 from cycosc import expr as ex
 from cycosc.errors import BadRange, LambdaMismatch
 from cycosc.expr import parse
-from cycosc.fock import apply_word, build_rep, safe_window, window_residual
+from cycosc.fock import Banded, apply_word, build_rep, safe_window, window_residual
 from cycosc.normal_order import (
+    PRUNE_TOL,
+    NormalForm,
     beta_closed_form,
     beta_oracle,
     beta_tower_raw,
     geometric_f,
     kpoly_left_mul,
     kpoly_mul,
+    left_read,
     nf_add,
     nf_adjoint,
     nf_monomial,
@@ -23,7 +26,7 @@ from cycosc.normal_order import (
     nf_to_matrix,
     normal_form,
 )
-from cycosc.params import validate_alpha
+from cycosc.params import root_power, validate_alpha
 
 from conftest import lru_caches, random_valid_alpha
 
@@ -247,6 +250,7 @@ def test_rewrite_memo_is_bounded():
         normal_form(word, validate_alpha(2, (shift, -shift)))
     assert normal_order._reorder_core.cache_info().currsize <= 1024
     assert normal_order._a_times_adpow.cache_info().currsize <= 1024
+    assert normal_order._generator_power.cache_info().currsize <= 1024
 
     # every memo in the package is bounded, and every one in the source is seen here
     caches = lru_caches()
@@ -259,3 +263,109 @@ def test_rewrite_memo_is_bounded():
         if re.match(r"\s*@(functools\.)?(lru_cache|cache)\b", line)
     ]
     assert len(decorators) == len(caches), decorators
+
+
+# ---------------------------------------------------------------------------
+# bit-level contracts of the grading path: the same floating-point operations
+# in the same order as the term-by-term formulations they replace
+
+
+def _bits(values) -> bytes:
+    return np.array(list(values), dtype=complex).tobytes()
+
+
+def _random_form(rng, lam: int, dim: int) -> NormalForm:
+    """Terms on a few diagonals, several (p, q) grades on each, some past the truncation.
+
+    Up to 4 lam terms share a diagonal, with magnitudes from 1e-8 to 1e8, so a
+    sum taken in another order would show in the bits.
+    """
+    terms = {}
+    for offset in rng.choice(np.arange(-3, 4), size=int(rng.integers(1, 3)), replace=False):
+        for p in rng.choice(np.arange(max(0, offset), dim + 3), size=4, replace=False):
+            for r in rng.choice(lam, size=int(rng.integers(1, lam + 1)), replace=False):
+                scale = 10.0 ** rng.uniform(-8, 8)
+                terms[(int(p), int(p - offset), int(r))] = complex(*rng.normal(size=2)) * scale
+    return NormalForm(lam, terms)
+
+
+def _term_by_term(x: NormalForm, rep) -> Banded:
+    """sum of c * (a+)^p a^q K^r in sorted term order, each monomial multiplied out."""
+    acc = Banded(rep.dim, {})
+    for (p, q, r), c in sorted(x.terms.items()):
+        mono = rep.matrix_power("ad", p) @ rep.matrix_power("a", q)
+        if r:
+            mono = mono @ rep.matrix_power("K", r)
+        acc = acc + c * mono
+    return acc
+
+
+@pytest.mark.parametrize("lam", range(2, 9))
+def test_nf_to_matrix_equals_the_sorted_term_sum_bit_for_bit(lam, rng):
+    params = validate_alpha(lam, random_valid_alpha(rng, lam) * 0.5)
+    for dim in (lam + 2, 13, 24):
+        rep = build_rep(params, dim)
+        forms = [NormalForm(lam, {})] + [_random_form(rng, lam, dim) for _ in range(8)]
+        for x in forms:
+            got, want = nf_to_matrix(x, rep), _term_by_term(x, rep)
+            assert got.bands.keys() == want.bands.keys()
+            for offset, vec in want.bands.items():
+                assert np.array_equal(got.bands[offset], vec)
+                assert got.bands[offset].tobytes() == vec.tobytes()
+
+
+def _kpoly_mul_scalar(x, y, scale=1.0):
+    """kpoly_mul over numpy scalars."""
+    out = np.zeros(len(x), dtype=complex)
+    for r1, c1 in enumerate(x):
+        if c1 == 0:
+            continue
+        for r2, c2 in enumerate(y):
+            if c2 == 0:
+                continue
+            out[(r1 + r2) % len(x)] += c1 * c2 * scale
+    return out
+
+
+def _kpoly_left_mul_scalar(poly, p, q, lam):
+    """kpoly_left_mul over numpy scalars."""
+    terms = {}
+    for r, c in enumerate(poly):
+        if abs(c) < PRUNE_TOL:
+            continue
+        terms[(p, q, r % lam)] = complex(c) * root_power(lam, r * (q - p))
+    return NormalForm(lam, {k: v for k, v in terms.items() if abs(v) >= PRUNE_TOL})
+
+
+def _left_read_scalar(nf, p, q):
+    """left_read assigning numpy scalars one entry at a time."""
+    poly = np.zeros(nf.lam, dtype=complex)
+    for r in range(nf.lam):
+        poly[r] = nf.coefficient(p, q, r) * root_power(nf.lam, r * (p - q))
+    return poly
+
+
+def _random_kpoly(rng, lam):
+    vec = (rng.normal(size=lam) + 1j * rng.normal(size=lam)) * 10.0 ** rng.uniform(-4, 4, lam)
+    vec[rng.random(lam) < 0.25] = 0.0
+    vec[rng.random(lam) < 0.1] = 1e-15
+    return vec
+
+
+@pytest.mark.parametrize("lam", range(2, 9))
+def test_kpoly_loops_equal_their_numpy_scalar_forms_bit_for_bit(lam, rng):
+    for _ in range(200):
+        x, y = _random_kpoly(rng, lam), _random_kpoly(rng, lam)
+        for scale in (1.0, float(rng.normal()), complex(*rng.normal(size=2))):
+            assert kpoly_mul(x, y, scale).tobytes() == _kpoly_mul_scalar(x, y, scale).tobytes()
+        assert kpoly_mul(x, y).tobytes() == _kpoly_mul_scalar(x, y).tobytes()
+
+        p, q = (int(v) for v in rng.integers(0, 6, size=2))
+        for poly in (x, [int(v) for v in rng.integers(-3, 4, size=lam)]):
+            got, want = kpoly_left_mul(poly, p, q, lam), _kpoly_left_mul_scalar(poly, p, q, lam)
+            assert list(got.terms) == list(want.terms)
+            assert _bits(got.terms.values()) == _bits(want.terms.values())
+
+        nf = NormalForm(lam, {(p, q, r): complex(c) for r, c in enumerate(x) if c != 0})
+        for grade in ((p, q), (p + 1, q)):
+            assert left_read(nf, *grade).tobytes() == _left_read_scalar(nf, *grade).tobytes()
