@@ -20,7 +20,9 @@ bracket vanishes is normalized by the named operands alone.
 ``FAMILIES`` is the one place where a check family is declared: the suite
 that runs it, its id prefix and index letters, its tolerance, its check
 function and its index grid.  ``SUITES``, ``TOL``, the entry labels and the
-dispatch of ``run_suite`` all come from it.
+dispatch of ``run_suite`` all come from it.  Most checks grade one bracket
+per index; ``check_winf`` is one call per parameter set that grades all 256
+higher-spin brackets, sharing their monomials and products between them.
 
 The per-check ids, the fitted tables and the deterministic report layout are
 the package's external wire format; see ``run_suite``.
@@ -39,17 +41,29 @@ import numpy as np
 
 from . import expr as ex
 from .errors import EmptyWindow, IndexOutOfRealization, NotFinite, WrongLambda
-from .fock import FockRep, SafeWindow, apply_word, build_rep, safe_window, window_residual
+from .fock import (
+    Banded,
+    FockRep,
+    SafeWindow,
+    apply_word,
+    build_rep,
+    safe_window,
+    window_peaks,
+    window_residual,
+)
 from .normal_order import (
     NormalForm,
     beta_closed_form,
     beta_tower_raw,
     f_kpoly,
     kpoly_left_mul,
+    kpoly_left_sum,
     kpoly_mul,
     left_read,
     nf_add,
+    nf_mul,
     nf_scale,
+    nf_sub,
     nf_to_matrix,
     nf_zero,
     normal_form,
@@ -83,7 +97,7 @@ FAMILIES = (
     Family("virasoro", "virasoro", 1e-8, "check_virasoro", {"m": range(-1, 4), "n": range(-1, 4)}),
     Family("virasoro", "klein_v", 1e-10, "check_klein_virasoro", {"m": range(-1, 6)}),
     Family("lambda2", "lambda2", 1e-8, "check_lambda2", {}),
-    Family("winf", "winf", 1e-8, "check_winf", dict.fromkeys("smtn", range(4))),
+    Family("winf", "winf", 1e-8, "check_winf", {}),
     Family("winf", "klein_w", 1e-10, "check_klein_winf", dict.fromkeys("sm", range(5))),
     Family("sp2", "sp2", 1e-8, "check_sp2", {}),
     Family("casimir", "casimir", 1e-10, "check_casimir", {}),
@@ -144,6 +158,11 @@ def _verdict(check_id, window, gate, res_paper, res_best=None, fitted=None, ok=T
 def _ungraded(check_id: str, status: str, fitted=None) -> IdentityCheck:
     """An entry that carries no residual: an error, n/a, or a recorded value."""
     return IdentityCheck(check_id, (0, 0), None, None, fitted, status)
+
+
+def _failed(check_id: str, err: Exception) -> IdentityCheck:
+    """The failed entry of a check that raised `err`."""
+    return _ungraded(check_id, "fail", {"error": f"{type(err).__name__}: {err}"})
 
 
 class _Dual:
@@ -361,6 +380,8 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
     prefactor = f_kpoly(params, m, "paper")
 
     def assemble(betas):
+        # nf_add, not one dict: the grades of different alpha coincide, and the
+        # pruning after each sum is part of the published side's arithmetic
         rhs = nf_zero(lam)
         for alpha in range(n):
             # one bracket (m + F x^alpha); x^alpha is a scalar power
@@ -375,9 +396,9 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
     res_closed = d.against(assemble([beta_closed_form(n - 1, m, l, params) for l in range(n)]))
 
     # direct tower validation: sum_l beta_l (a+)^{m-1-l} a^{n-1-l} == a^{n-1} (a+)^{m-1}
-    tower_nf = nf_zero(lam)
-    for l, poly in enumerate(tower.coeffs[:m]):
-        tower_nf = nf_add(tower_nf, kpoly_left_mul(poly, m - 1 - l, n - 1 - l, lam))
+    tower_nf = kpoly_left_sum(
+        ((poly, m - 1 - l, n - 1 - l) for l, poly in enumerate(tower.coeffs[:m])), lam
+    )
     prod_mat = rep.matrix_power("a", n - 1) @ rep.matrix_power("ad", m - 1)
     res_tower = window_residual(prod_mat, d.window, prod_mat, minus=nf_to_matrix(tower_nf, rep))
 
@@ -508,31 +529,98 @@ def _xi_side(params: AlgebraParams, s: int, m: int, t: int):
     return out
 
 
-def check_winf(params: AlgebraParams, dim: int, s: int, m: int, t: int, n: int) -> IdentityCheck:
-    """[w^s_m, w^t_n] against the published level-by-level coefficient sums."""
+class _Graded(NamedTuple):
+    """One winf bracket on its window columns 0..hi, ready for its block's reduction."""
+
+    id: str
+    hi: int
+    mat: Banded
+    oracle: Banded  # the matrix of its normal form
+    published: Banded
+    fitted: dict
+
+
+def check_winf(params: AlgebraParams, dim: int) -> list:
+    """[w^s_m, w^t_n] against the published level-by-level coefficient sums, for all s, m, t, n.
+
+    One call grades the whole grid.  Each oracle evaluates the 16 monomials
+    once and each ordered product of two once; a bracket is XY - YX of its
+    products, as `apply_word` and `normal_form` evaluate a `Commutator`.  The
+    16 brackets that share a left factor form one block, whose floors, gates
+    and published residuals come from one `window_peaks` reduction.  An error
+    in one bracket fails that entry alone; a window the truncation leaves
+    empty, or a gate that is not finite, raises EmptyWindow or NotFinite
+    naming the first such bracket, which `run_suite` does not grade.
+    """
     rep = _rep(params, dim)
     lam = params.lam
-    d = _Dual(rep, ex.Commutator(_mono_expr(s, m), _mono_expr(t, n)))
+    monomials = list(product(range(4), repeat=2))  # (s, m) of w^s_m, each of 0..3
+    for s, t in product(range(4), repeat=2):
+        if s + t > dim - 1:
+            raise EmptyWindow(f"creation weight {s + t} of winf.s{s}.m0.t{t}.n0 "
+                              f"leaves no exact column at dim {dim}")
 
-    grade = (s - m) + (t - n)
-    on_ladder = all(p - q == grade for (p, q) in d.nf.support())
+    evaluated, pending = {}, {}
 
-    polys = np.zeros((max(m, n), lam), dtype=complex)
-    polys[:m] += _xi_side(params, s, m, t)
-    polys[:n] -= _xi_side(params, t, n, s)
-    rhs_nf = nf_zero(lam)
-    dropped = 0
-    for l, poly in enumerate(polys):
-        p, q = s + t - l - 1, m + n - l - 1
-        if p < 0 or q < 0:
-            if np.any(np.abs(poly) > 1e-13):
+    def commutator(x: int, y: int) -> tuple:
+        """Matrix and normal form of [w_x, w_y], each XY - YX of its two oracle products.
+
+        The same products give [w_y, w_x], kept until its block reads it.
+        """
+        if (x, y) in pending:
+            return pending.pop((x, y))
+        for k in {x, y} - evaluated.keys():
+            e = _mono_expr(*monomials[k])
+            evaluated[k] = apply_word(rep, e), normal_form(e, params)
+        (x_mat, x_nf), (y_mat, y_nf) = evaluated[x], evaluated[y]
+        xy_mat, xy_nf = x_mat @ y_mat, nf_mul(x_nf, y_nf, params)
+        if x == y:
+            return xy_mat - xy_mat, nf_sub(xy_nf, xy_nf)
+        yx_mat, yx_nf = y_mat @ x_mat, nf_mul(y_nf, x_nf, params)
+        pending[y, x] = yx_mat - xy_mat, nf_sub(yx_nf, xy_nf)
+        return xy_mat - yx_mat, nf_sub(xy_nf, yx_nf)
+
+    def bracket(x: int, y: int) -> _Graded:
+        (s, m), (t, n) = monomials[x], monomials[y]
+        mat, nf = commutator(x, y)
+        grade = (s - m) + (t - n)
+        on_ladder = all(p - q == grade for (p, q) in nf.support())
+
+        polys = np.zeros((max(m, n), lam), dtype=complex)
+        polys[:m] += _xi_side(params, s, m, t)
+        polys[:n] -= _xi_side(params, t, n, s)
+        rows, dropped = [], 0
+        for l, poly in enumerate(polys):
+            p, q = s + t - l - 1, m + n - l - 1
+            if p >= 0 and q >= 0:
+                rows.append((poly, p, q))
+            elif np.any(np.abs(poly) > 1e-13):
                 dropped += 1
-            continue
-        rhs_nf = nf_add(rhs_nf, kpoly_left_mul(poly, p, q, lam))
+        return _Graded(f"winf.s{s}.m{m}.t{t}.n{n}", dim - 1 - (s + t), mat,
+                       nf_to_matrix(nf, rep), nf_to_matrix(kpoly_left_sum(rows, lam), rep),
+                       {"on_ladder": bool(on_ladder), "dropped_terms": dropped})
 
-    fitted = {"on_ladder": bool(on_ladder), "dropped_terms": dropped}
-    return _verdict(f"winf.s{s}.m{m}.t{t}.n{n}", d.window, d.gate, d.against(rhs_nf),
-                    fitted=fitted, ok=on_ladder)
+    checks = []
+    for x, (s, m) in enumerate(monomials):
+        block = []
+        for y, (t, n) in enumerate(monomials):
+            try:
+                block.append(bracket(x, y))
+            except Exception as err:  # noqa: BLE001 - this entry fails, the others are graded
+                checks.append(_failed(f"winf.s{s}.m{m}.t{t}.n{n}", err))
+        pairs = [(g.mat, None) for g in block]
+        pairs += [(g.mat, g.oracle) for g in block]
+        pairs += [(g.mat, g.published) for g in block]
+        peaks = window_peaks(pairs, [g.hi for g in block] * 3)
+        for k, g in enumerate(block):
+            floor = max(1.0, peaks[k])
+            gate = peaks[len(block) + k] / floor
+            if not math.isfinite(gate):
+                raise NotFinite(f"{g.id}: gate {gate} at dim {dim}: the realization overflows")
+            checks.append(_verdict(g.id, SafeWindow(0, g.hi), gate,
+                                   peaks[2 * len(block) + k] / floor,
+                                   fitted=g.fitted, ok=g.fitted["on_ladder"]))
+    return checks
 
 
 def check_klein_winf(params: AlgebraParams, dim: int, s: int, m: int) -> IdentityCheck:
@@ -691,7 +779,7 @@ def run_suite(params: AlgebraParams, dim: int = 64, selection=("all",),
             except NotFinite as err:  # an overflowing realization is not graded either
                 raise NotFinite(f"{label}: {err}") from err
             except Exception as err:  # noqa: BLE001 - reported, never fatal
-                result = _ungraded(label, "fail", {"error": f"{type(err).__name__}: {err}"})
+                result = _failed(label, err)
             checks.extend(result if isinstance(result, list) else [result])
 
     checks.sort(key=lambda c: c.id)

@@ -132,8 +132,8 @@ def nf_mul(x: NormalForm, y: NormalForm, params: AlgebraParams) -> NormalForm:
     return _mul(x, y, params.lam, params.kappa)
 
 
-def _mul(x: NormalForm, y: NormalForm, lam: int, kappa: tuple) -> NormalForm:
-    """`nf_mul` over (lam, kappa) without the order check."""
+def _mul(x: NormalForm, y: NormalForm, lam: int, kappa: tuple | None) -> NormalForm:
+    """`nf_mul` over (lam, kappa) without the order check; kappa None where none is read."""
     xs = root_table(lam)
     out = {}
     for (p1, q1, r1), c1 in x.terms.items():
@@ -158,12 +158,17 @@ _GENERATORS = {"a": (0, 1, 0), "ad": (1, 0, 0), "K": (0, 0, 1)}  # kind -> (p, q
 
 
 @lru_cache(maxsize=1024)
-def _generator_power(lam: int, kappa: tuple, kind: str, n: int) -> tuple:
-    """Terms of a, a+ or K to the n-th power, multiplied out as `nf_power` does."""
+def _generator_power(lam: int, kind: str, n: int) -> tuple:
+    """Terms of a, a+ or K to the n-th power, multiplied out as `nf_power` does.
+
+    A power of one generator never moves an a past an a+, so none of its
+    products reads kappa: they run with kappa None, where a read would raise,
+    and one entry serves every parameter set of order lam.
+    """
     x = nf_monomial(lam, *_GENERATORS[kind])
     acc = nf_monomial(lam, 0, 0, 0)
     for _ in range(n):
-        acc = _mul(acc, x, lam, kappa)
+        acc = _mul(acc, x, lam, None)
     return tuple(acc.terms.items())
 
 
@@ -257,7 +262,7 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
             return acc
         case ex.Power(ex.Atom(kind), exponent) if kind in _GENERATORS:
             # a fresh dict: callers may edit a form's terms
-            return NormalForm(lam, dict(_generator_power(lam, params.kappa, kind, exponent)))
+            return NormalForm(lam, dict(_generator_power(lam, kind, exponent)))
         case ex.Power(base, exponent):
             return nf_power(normal_form(base, params), exponent, params)
         case ex.Commutator(left, right):
@@ -277,12 +282,25 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
 
 def kpoly_left_mul(poly, p: int, q: int, lam: int) -> NormalForm:
     """Normal form of (sum_r poly[r] K^r) (a+)^p a^q with the poly on the left."""
+    return kpoly_left_sum([(poly, p, q)], lam)
+
+
+def kpoly_left_sum(rows, lam: int) -> NormalForm:
+    """Sum of `kpoly_left_mul(poly, p, q, lam)` over rows (poly, p, q) of distinct grades (p, q).
+
+    Distinct grades share no term, so the rows fill one dict; chaining
+    `nf_add` would copy and prune the growing sum once per row.
+    """
+    xs = root_table(lam)
     terms = {}
-    for r, c in enumerate(np.asarray(poly).tolist()):
-        if abs(c) < PRUNE_TOL:
-            continue
-        terms[(p, q, r % lam)] = complex(c) * root_power(lam, r * (q - p))
-    return _pruned(lam, terms)
+    for poly, p, q in rows:
+        for r, c in enumerate(np.asarray(poly).tolist()):
+            if abs(c) < PRUNE_TOL:
+                continue
+            term = complex(c) * xs[r * (q - p) % lam]
+            if abs(term) >= PRUNE_TOL:
+                terms[(p, q, r % lam)] = term
+    return NormalForm(lam, terms)
 
 
 def kpoly_mul(x, y, scale=1.0) -> np.ndarray:

@@ -17,6 +17,7 @@ from cycosc.fock import (
     spectrum,
     spectrum_closed_form,
     structure_function,
+    window_peaks,
     window_residual,
 )
 from cycosc.params import validate_alpha
@@ -300,6 +301,61 @@ def test_window_residual_minus_is_the_residual_of_the_difference(count):
         assert window_residual(mat, window, *ops, minus=other, floor=floor) == window_residual(
             mat - other, window, mat, *ops
         )
+
+
+def _peaks_as_window_max(rows, his) -> list:
+    """window_peaks of `rows`, checked against one window_max per row (NaN included)."""
+    peaks = window_peaks(rows, his)
+    expected = [mat.window_max(0, hi, minus) for (mat, minus), hi in zip(rows, his)]
+    assert [float.hex(p) for p in peaks] == [float.hex(e) for e in expected]
+    return peaks
+
+
+def test_window_peaks_is_window_max_row_by_row():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        dim = int(rng.integers(1, 12))
+        count = int(rng.integers(1, 6))
+        rows = [(_random_band(rng, dim), _random_band(rng, dim) if rng.random() < 0.7 else None)
+                for _ in range(count)]
+        _peaks_as_window_max(rows, [int(h) for h in rng.integers(0, dim, size=count)])
+    assert window_peaks([], []) == []
+
+
+def test_window_peaks_sees_nan_in_its_own_window_only():
+    spoiled = np.array([1.0, -2.0, complex(np.nan, 0.0), 0.5], dtype=complex)
+    clean = np.array([3.0, 0.0, 1.0, -1.0], dtype=complex)
+    rows = [(Banded(4, {0: spoiled}), None), (Banded(4, {0: spoiled}), None),
+            (Banded(4, {1: clean}), Banded(4, {0: spoiled})), (Banded(4, {0: clean}), None)]
+    peaks = _peaks_as_window_max(rows, [2, 1, 3, 3])
+    assert math.isnan(peaks[0]) and math.isnan(peaks[2])  # NaN inside the window wins
+    assert peaks[1:4:2] == [2.0, 3.0]  # NaN past hi is ignored; other rows never see it
+    # the floor of a NaN peak is Python's max, as for a word's own window peak
+    assert max(1.0, peaks[0]) == 1.0 == max(1.0, rows[0][0].window_max(0, 2))
+
+
+def test_window_peaks_windows_differ_per_row():
+    vec = np.array([1.0, 2.0, 4.0, 8.0, 16.0], dtype=complex)
+    rows = [(Banded(5, {0: vec}), None)] * 5
+    assert _peaks_as_window_max(rows, [0, 1, 2, 3, 4]) == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+def test_window_peaks_of_a_zero_row_is_zero():
+    zero = np.zeros(3, dtype=complex)
+    rows = [(Banded(3, {}), None), (Banded(3, {0: zero}), Banded(3, {})),
+            (Banded(3, {}), Banded(3, {}))]
+    assert _peaks_as_window_max(rows, [2, 2, 0]) == [0.0, 0.0, 0.0]
+
+
+def test_window_peaks_sees_a_band_off_the_row_diagonal():
+    dim = 6
+    main = np.arange(1, dim + 1, dtype=complex)
+    off = np.zeros(dim, dtype=complex)
+    off[1] = 50.0  # entry (3, 1), on offset +2
+    same = Banded(dim, {1: main})
+    rows = [(same, same), (same, Banded(dim, {1: main, 2: off})), (same, same)]
+    assert _peaks_as_window_max(rows, [4, 4, 4]) == [0.0, 50.0, 0.0]
+    assert _peaks_as_window_max(rows, [0, 0, 0]) == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("lam", range(2, 9))

@@ -242,23 +242,28 @@ def test_lambda2_guard(params_l3):
 # higher-spin checks
 
 
+def _winf_entry(params, s, m, t, n):
+    """The entry of [w^s_m, w^t_n] among the ones check_winf grades in one call."""
+    return {c.id: c for c in check_winf(params, D)}[f"winf.s{s}.m{m}.t{t}.n{n}"]
+
+
 def test_winf_gate_and_grading(rng):
     params = validate_alpha(3, random_valid_alpha(rng, 3))
     for s, m, t, n in [(2, 1, 1, 1), (0, 0, 0, 0), (3, 2, 1, 0), (2, 2, 1, 1)]:
-        check = check_winf(params, D, s, m, t, n)
+        check = _winf_entry(params, s, m, t, n)
         assert check.residual_best < 1e-8
         assert check.fitted["on_ladder"]
 
 
 def test_winf_trivial_pair(params_l2):
-    check = check_winf(params_l2, D, 0, 0, 0, 0)
+    check = _winf_entry(params_l2, 0, 0, 0, 0)
     assert check.status == "pass"
     assert check.residual_paper < 1e-12
 
 
 def test_winf_spin_ladder_cell(params_plain):
     # undeformed [w^2_1, w^1_1] = -w^2_1 is reproduced by the level sums
-    check = check_winf(params_plain, D, 2, 1, 1, 1)
+    check = _winf_entry(params_plain, 2, 1, 1, 1)
     assert check.status == "pass"
 
 
@@ -346,7 +351,7 @@ def test_winf_continuity_on_mode_one_cells():
         values = []
         for scale in scales:
             params = params_from_kappa(2, [0.6 * scale])
-            values.append(check_winf(params, D, s, 1, t, 1).residual_paper)
+            values.append(_winf_entry(params, s, 1, t, 1).residual_paper)
         for a, b in zip(values, values[1:]):
             assert b < a or b < 1e-8, (s, t, values)
 

@@ -108,3 +108,30 @@ def test_single_mode_after_general_equals_a_cold_call(m):
         check_general(p, 16, n, m)
     assert check_single_mode(p, 16, m) == cold
     assert check_single_mode(p, 16, m) == cold
+
+
+def _bits(form) -> list:
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in form.terms.items()]
+
+
+def test_generator_powers_do_not_depend_on_kappa():
+    """A power of a, a+ or K is the product chain that reads kappa, for every kappa."""
+    for lam, alphas in ALPHAS.items():
+        sets = [validate_alpha(lam, alpha) for alpha in [*alphas, (0.0,) * lam]]
+        for kind in ("a", "ad", "K"):
+            for n in range(10):
+                power = ex.Power(ex.Atom(kind), n)
+                for p in sets:
+                    chained = normal_order.nf_power(normal_form(ex.Atom(kind), p), n, p)
+                    assert _bits(normal_form(power, p)) == _bits(chained), (lam, kind, n, p.kappa)
+
+
+def test_a_sweep_of_parameter_sets_reuses_the_generator_powers():
+    _clear_all()
+    memo = normal_order._generator_power
+    run_suite(validate_alpha(3, ALPHAS[3][0]), 13)
+    filled = memo.cache_info()
+    for alpha in (ALPHAS[3][1], (0.1, 0.05, -0.15), (-0.2, 0.3, -0.1)):
+        run_suite(validate_alpha(3, alpha), 13)
+    assert memo.cache_info().misses == filled.misses
+    assert memo.cache_info().hits > filled.hits
