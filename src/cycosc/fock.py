@@ -385,37 +385,6 @@ def window_residual(mat: Banded, window: SafeWindow, *scale: Banded,
     return mat.window_max(window.lo, window.hi, minus) / norm
 
 
-def window_peaks(rows, his) -> list:
-    """`mat.window_max(0, hi, minus)` of every row (mat, minus) with its own hi, in one reduction.
-
-    `minus` is a Banded or None.  Each offset that either side of a row holds
-    is one piece of a stack: the difference of the two bands, or the lone
-    band (whose sign no absolute value sees).  Columns above a piece's hi are
-    masked to zero, and a row's peak is the largest of its pieces'.  A NaN in
-    a row's window makes its peak NaN, and a row with no bands reads 0.0.
-    """
-    owners, pieces = [], []
-    for i, (mat, minus) in enumerate(rows):
-        other = {} if minus is None else minus.bands
-        for offset in mat.bands.keys() | other.keys():
-            owners.append(i)
-            pieces.append((mat.bands.get(offset), other.get(offset)))
-    peaks = np.zeros(len(rows))
-    if owners:
-        dim = rows[0][0].dim
-        stack = np.empty((len(pieces), dim), dtype=complex)
-        for out, (vec, sub) in zip(stack, pieces):
-            if vec is None or sub is None:
-                out[:] = sub if vec is None else vec
-            else:
-                np.subtract(vec, sub, out=out)
-        stack = np.abs(stack)
-        stack[np.arange(dim) > np.asarray(his)[owners, None]] = 0.0
-        with np.errstate(invalid="ignore"):  # np.maximum keeps a NaN, and says so
-            np.maximum.at(peaks, owners, stack.max(axis=1))
-    return peaks.tolist()
-
-
 def dump_matrices(rep: FockRep) -> dict:
     """Sparse JSON-friendly dump of every generator matrix."""
 

@@ -34,7 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +48,6 @@ from .fock import (
     apply_word,
     build_rep,
     safe_window,
-    window_peaks,
     window_residual,
 )
 from .normal_order import (
@@ -169,14 +168,21 @@ class _Dual:
     """One word evaluated by both oracles, and its oracle gate, on its safe window."""
 
     def __init__(self, rep: FockRep, e: ex.OperatorExpr):
-        self.rep = rep
-        self.mat = apply_word(rep, e)
-        self.nf = normal_form(e, rep.params)
         # normal-form terms keep the word's net degree, so one window serves both oracles
-        self.window = safe_window(rep, [e])
+        self._grade(rep, apply_word(rep, e), normal_form(e, rep.params), safe_window(rep, [e]))
+
+    @classmethod
+    def of_parts(cls, rep: FockRep, mat: Banded, nf: NormalForm, window: SafeWindow) -> _Dual:
+        """The word whose matrix, normal form and safe window are already evaluated."""
+        d = cls.__new__(cls)
+        d._grade(rep, mat, nf, window)
+        return d
+
+    def _grade(self, rep: FockRep, mat: Banded, nf: NormalForm, window: SafeWindow) -> None:
+        self.rep, self.mat, self.nf, self.window = rep, mat, nf, window
         # the word's own window peak, floored at 1: the scale of every residual against it
-        self.floor = max(1.0, self.mat.window_max(self.window.lo, self.window.hi))
-        self.gate = self.against(self.nf)
+        self.floor = max(1.0, mat.window_max(window.lo, window.hi))
+        self.gate = self.against(nf)
         if not math.isfinite(self.gate):
             raise NotFinite(f"gate {self.gate} at dim {rep.dim}: the realization overflows")
 
@@ -486,17 +492,17 @@ def check_lambda2(params: AlgebraParams, dim: int) -> list:
         raise WrongLambda(f"order-two suite needs lam = 2, got {params.lam}")
     kappa1 = params.kappa[0]
     checks = []
-    for k in range(3):
-        for l in range(3):
+    for k, l in product(range(3), repeat=2):
+        rows = (
             # even/even: claim (2k - 2l) l_{2k+2l}, no deformation term
-            checks.append(_ladder(params, dim, f"lambda2.ee.k{k}.l{l}", 2 * k, 2 * l,
-                                  [2 * k - 2 * l, 0]))
+            ("ee", 2 * k, 2 * l, [2 * k - 2 * l, 0]),
             # odd/odd: claim (2k - 2l) l_{2k+2l+2}
-            checks.append(_ladder(params, dim, f"lambda2.oo.k{k}.l{l}", 2 * k + 1, 2 * l + 1,
-                                  [2 * k - 2 * l, 0]))
+            ("oo", 2 * k + 1, 2 * l + 1, [2 * k - 2 * l, 0]),
             # even/odd: claim 2(l - k) l + (1 - 2 kappa_1 K) l at index 2k+2l+1
-            checks.append(_ladder(params, dim, f"lambda2.eo.k{k}.l{l}", 2 * k, 2 * l + 1,
-                                  [2 * (l - k) + 1, -2 * kappa1]))
+            ("eo", 2 * k, 2 * l + 1, [2 * (l - k) + 1, -2 * kappa1]),
+        )
+        for kind, m, n, poly in rows:
+            checks.append(_ladder(params, dim, f"lambda2.{kind}.k{k}.l{l}", m, n, poly))
     for k in range(3):
         for parity, em, claimed in (("even", 2 * k, 2.0), ("odd", 2 * k + 1, 0.0)):
             checks.append(_klein(params, dim, f"lambda2.klein_{parity}.k{k}", _ell_expr(em),
@@ -529,28 +535,18 @@ def _xi_side(params: AlgebraParams, s: int, m: int, t: int):
     return out
 
 
-class _Graded(NamedTuple):
-    """One winf bracket on its window columns 0..hi, ready for its block's reduction."""
-
-    id: str
-    hi: int
-    mat: Banded
-    oracle: Banded  # the matrix of its normal form
-    published: Banded
-    fitted: dict
-
-
 def check_winf(params: AlgebraParams, dim: int) -> list:
     """[w^s_m, w^t_n] against the published level-by-level coefficient sums, for all s, m, t, n.
 
-    One call grades the whole grid.  Each oracle evaluates the 16 monomials
-    once and each ordered product of two once; a bracket is XY - YX of its
-    products, as `apply_word` and `normal_form` evaluate a `Commutator`.  The
-    16 brackets that share a left factor form one block, whose floors, gates
-    and published residuals come from one `window_peaks` reduction.  An error
-    in one bracket fails that entry alone; a window the truncation leaves
-    empty, or a gate that is not finite, raises EmptyWindow or NotFinite
-    naming the first such bracket, which `run_suite` does not grade.
+    One call grades the whole grid, sorted by id.  Each oracle evaluates the
+    16 monomials once, and each unordered pair x <= y of them is one `_Dual`
+    of [w_x, w_y] = XY - YX, as `apply_word` and `normal_form` evaluate a
+    `Commutator`.  Its mirror [w_y, w_x] is the exact negation, so it is
+    graded on the same `_Dual` against its own published side negated.  An
+    error in a pair fails both of its entries, and one in a published side
+    fails that entry alone; a window the truncation leaves empty, or a gate
+    that is not finite, raises EmptyWindow or NotFinite naming the first such
+    bracket, which `run_suite` does not grade.
     """
     rep = _rep(params, dim)
     lam = params.lam
@@ -559,32 +555,27 @@ def check_winf(params: AlgebraParams, dim: int) -> list:
         if s + t > dim - 1:
             raise EmptyWindow(f"creation weight {s + t} of winf.s{s}.m0.t{t}.n0 "
                               f"leaves no exact column at dim {dim}")
+    evaluated = {}
 
-    evaluated, pending = {}, {}
+    def label(x: int, y: int) -> str:
+        return "winf.s{}.m{}.t{}.n{}".format(*monomials[x], *monomials[y])
 
-    def commutator(x: int, y: int) -> tuple:
-        """Matrix and normal form of [w_x, w_y], each XY - YX of its two oracle products.
-
-        The same products give [w_y, w_x], kept until its block reads it.
-        """
-        if (x, y) in pending:
-            return pending.pop((x, y))
+    def dual(x: int, y: int) -> _Dual:
+        """[w_x, w_y] as XY - YX of its two oracle products; with x == y, one product each."""
         for k in {x, y} - evaluated.keys():
             e = _mono_expr(*monomials[k])
             evaluated[k] = apply_word(rep, e), normal_form(e, params)
         (x_mat, x_nf), (y_mat, y_nf) = evaluated[x], evaluated[y]
         xy_mat, xy_nf = x_mat @ y_mat, nf_mul(x_nf, y_nf, params)
-        if x == y:
-            return xy_mat - xy_mat, nf_sub(xy_nf, xy_nf)
-        yx_mat, yx_nf = y_mat @ x_mat, nf_mul(y_nf, x_nf, params)
-        pending[y, x] = yx_mat - xy_mat, nf_sub(yx_nf, xy_nf)
-        return xy_mat - yx_mat, nf_sub(xy_nf, yx_nf)
+        yx_mat, yx_nf = (xy_mat, xy_nf) if x == y else (y_mat @ x_mat, nf_mul(y_nf, x_nf, params))
+        window = SafeWindow(0, dim - 1 - (monomials[x][0] + monomials[y][0]))
+        return _Dual.of_parts(rep, xy_mat - yx_mat, nf_sub(xy_nf, yx_nf), window)
 
-    def bracket(x: int, y: int) -> _Graded:
+    def graded(d: _Dual, x: int, y: int) -> IdentityCheck:
+        """[w_x, w_y] graded on `d`, the `_Dual` of the pair; with x > y, a mirror."""
         (s, m), (t, n) = monomials[x], monomials[y]
-        mat, nf = commutator(x, y)
         grade = (s - m) + (t - n)
-        on_ladder = all(p - q == grade for (p, q) in nf.support())
+        on_ladder = all(p - q == grade for (p, q) in d.nf.support())
 
         polys = np.zeros((max(m, n), lam), dtype=complex)
         polys[:m] += _xi_side(params, s, m, t)
@@ -596,31 +587,28 @@ def check_winf(params: AlgebraParams, dim: int) -> list:
                 rows.append((poly, p, q))
             elif np.any(np.abs(poly) > 1e-13):
                 dropped += 1
-        return _Graded(f"winf.s{s}.m{m}.t{t}.n{n}", dim - 1 - (s + t), mat,
-                       nf_to_matrix(nf, rep), nf_to_matrix(kpoly_left_sum(rows, lam), rep),
-                       {"on_ladder": bool(on_ladder), "dropped_terms": dropped})
+        rhs = kpoly_left_sum(rows, lam)
+        # a mirror's residual is |(-M) - P| = |M + P| bit for bit: IEEE negation is exact
+        res_paper = d.against(nf_scale(rhs, -1.0) if x > y else rhs)
+        fitted = {"on_ladder": bool(on_ladder), "dropped_terms": dropped}
+        return _verdict(label(x, y), d.window, d.gate, res_paper, fitted=fitted, ok=on_ladder)
 
     checks = []
-    for x, (s, m) in enumerate(monomials):
-        block = []
-        for y, (t, n) in enumerate(monomials):
+    for x, y in combinations_with_replacement(range(16), 2):
+        brackets = [(x, y)] if x == y else [(x, y), (y, x)]
+        try:
+            d = dual(x, y)
+        except NotFinite as err:
+            raise NotFinite(f"{label(x, y)}: {err}") from err
+        except Exception as err:  # noqa: BLE001 - this pair fails, the others are graded
+            checks += [_failed(label(u, v), err) for u, v in brackets]
+            continue
+        for u, v in brackets:
             try:
-                block.append(bracket(x, y))
+                checks.append(graded(d, u, v))
             except Exception as err:  # noqa: BLE001 - this entry fails, the others are graded
-                checks.append(_failed(f"winf.s{s}.m{m}.t{t}.n{n}", err))
-        pairs = [(g.mat, None) for g in block]
-        pairs += [(g.mat, g.oracle) for g in block]
-        pairs += [(g.mat, g.published) for g in block]
-        peaks = window_peaks(pairs, [g.hi for g in block] * 3)
-        for k, g in enumerate(block):
-            floor = max(1.0, peaks[k])
-            gate = peaks[len(block) + k] / floor
-            if not math.isfinite(gate):
-                raise NotFinite(f"{g.id}: gate {gate} at dim {dim}: the realization overflows")
-            checks.append(_verdict(g.id, SafeWindow(0, g.hi), gate,
-                                   peaks[2 * len(block) + k] / floor,
-                                   fitted=g.fitted, ok=g.fitted["on_ladder"]))
-    return checks
+                checks.append(_failed(label(u, v), err))
+    return sorted(checks, key=lambda c: c.id)
 
 
 def check_klein_winf(params: AlgebraParams, dim: int, s: int, m: int) -> IdentityCheck:

@@ -17,7 +17,6 @@ from cycosc.fock import (
     spectrum,
     spectrum_closed_form,
     structure_function,
-    window_peaks,
     window_residual,
 )
 from cycosc.params import validate_alpha
@@ -273,6 +272,10 @@ def test_window_max_is_nan_when_a_window_entry_is_nan(nan_first):
     bands = {0: spoiled, 1: clean} if nan_first else {1: clean, 0: spoiled}
     assert math.isnan(Banded(4, bands).window_max(0, 2))
     assert math.isnan(Banded(4, {0: clean}).window_max(0, 2, minus=Banded(4, bands)))
+    # a NaN on a minus band at an offset the matrix lacks
+    assert math.isnan(Banded(4, {1: clean}).window_max(0, 2, minus=Banded(4, {0: spoiled})))
+    # the floor of a NaN peak is Python's max, as for a word's own window peak
+    assert max(1.0, Banded(4, bands).window_max(0, 2)) == 1.0
 
 
 def test_window_max_ignores_nan_outside_the_window():
@@ -280,11 +283,19 @@ def test_window_max_ignores_nan_outside_the_window():
     lower = np.array([0.0, 5.0, 1.0, 0.0], dtype=complex)
     assert Banded(4, {0: vec, -1: lower}).window_max(1, 2) == 5.0
     assert Banded(4, {0: vec}).window_max(0, 2) == 4.0
+    powers = np.array([1.0, 2.0, 4.0, 8.0, 16.0], dtype=complex)
+    assert [Banded(5, {0: powers}).window_max(0, hi) for hi in range(5)] == [1, 2, 4, 8, 16]
+    # a minus band at an offset the matrix lacks counts on the window columns only
+    spread = Banded(4, {0: vec, 1: lower})
+    assert Banded(4, {0: vec}).window_max(0, 2, minus=spread) == 5.0
+    assert Banded(4, {0: vec}).window_max(0, 0, minus=spread) == 0.0
 
 
 def test_window_max_of_no_bands_is_zero():
     assert Banded(5, {}).window_max(0, 4) == 0.0
     assert Banded(5, {}).window_max(1, 3, minus=Banded(5, {})) == 0.0
+    zero = Banded(3, {0: np.zeros(3, dtype=complex)})
+    assert zero.window_max(0, 2, minus=Banded(3, {})) == 0.0
 
 
 @pytest.mark.parametrize("count", [0, 2])
@@ -301,61 +312,6 @@ def test_window_residual_minus_is_the_residual_of_the_difference(count):
         assert window_residual(mat, window, *ops, minus=other, floor=floor) == window_residual(
             mat - other, window, mat, *ops
         )
-
-
-def _peaks_as_window_max(rows, his) -> list:
-    """window_peaks of `rows`, checked against one window_max per row (NaN included)."""
-    peaks = window_peaks(rows, his)
-    expected = [mat.window_max(0, hi, minus) for (mat, minus), hi in zip(rows, his)]
-    assert [float.hex(p) for p in peaks] == [float.hex(e) for e in expected]
-    return peaks
-
-
-def test_window_peaks_is_window_max_row_by_row():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        dim = int(rng.integers(1, 12))
-        count = int(rng.integers(1, 6))
-        rows = [(_random_band(rng, dim), _random_band(rng, dim) if rng.random() < 0.7 else None)
-                for _ in range(count)]
-        _peaks_as_window_max(rows, [int(h) for h in rng.integers(0, dim, size=count)])
-    assert window_peaks([], []) == []
-
-
-def test_window_peaks_sees_nan_in_its_own_window_only():
-    spoiled = np.array([1.0, -2.0, complex(np.nan, 0.0), 0.5], dtype=complex)
-    clean = np.array([3.0, 0.0, 1.0, -1.0], dtype=complex)
-    rows = [(Banded(4, {0: spoiled}), None), (Banded(4, {0: spoiled}), None),
-            (Banded(4, {1: clean}), Banded(4, {0: spoiled})), (Banded(4, {0: clean}), None)]
-    peaks = _peaks_as_window_max(rows, [2, 1, 3, 3])
-    assert math.isnan(peaks[0]) and math.isnan(peaks[2])  # NaN inside the window wins
-    assert peaks[1:4:2] == [2.0, 3.0]  # NaN past hi is ignored; other rows never see it
-    # the floor of a NaN peak is Python's max, as for a word's own window peak
-    assert max(1.0, peaks[0]) == 1.0 == max(1.0, rows[0][0].window_max(0, 2))
-
-
-def test_window_peaks_windows_differ_per_row():
-    vec = np.array([1.0, 2.0, 4.0, 8.0, 16.0], dtype=complex)
-    rows = [(Banded(5, {0: vec}), None)] * 5
-    assert _peaks_as_window_max(rows, [0, 1, 2, 3, 4]) == [1.0, 2.0, 4.0, 8.0, 16.0]
-
-
-def test_window_peaks_of_a_zero_row_is_zero():
-    zero = np.zeros(3, dtype=complex)
-    rows = [(Banded(3, {}), None), (Banded(3, {0: zero}), Banded(3, {})),
-            (Banded(3, {}), Banded(3, {}))]
-    assert _peaks_as_window_max(rows, [2, 2, 0]) == [0.0, 0.0, 0.0]
-
-
-def test_window_peaks_sees_a_band_off_the_row_diagonal():
-    dim = 6
-    main = np.arange(1, dim + 1, dtype=complex)
-    off = np.zeros(dim, dtype=complex)
-    off[1] = 50.0  # entry (3, 1), on offset +2
-    same = Banded(dim, {1: main})
-    rows = [(same, same), (same, Banded(dim, {1: main, 2: off})), (same, same)]
-    assert _peaks_as_window_max(rows, [4, 4, 4]) == [0.0, 50.0, 0.0]
-    assert _peaks_as_window_max(rows, [0, 0, 0]) == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("lam", range(2, 9))

@@ -1,9 +1,11 @@
 """The winf grid graded in one call equals the per-bracket grading, bit for bit.
 
-`check_winf` evaluates each monomial and each ordered product once and reduces
-the brackets that share a left factor in one stack.  The reference below is
-the per-bracket grading it replaced: one `_Dual` of the `Commutator` and the
-Xi right side summed row by row with `nf_add`.
+`check_winf` evaluates each monomial and each ordered product once, builds one
+`_Dual` per unordered pair of monomials, and grades a pair's mirror on the
+same `_Dual` against its own published side negated.  The reference below is
+the per-bracket grading it replaced: one `_Dual` of the `Commutator` for every
+ordered pair, mirrors included, and the Xi right side summed row by row with
+`nf_add`.
 """
 
 import math
@@ -13,9 +15,9 @@ import pytest
 
 from cycosc import expr as ex
 from cycosc import identities
-from cycosc.errors import EmptyWindow
+from cycosc.errors import EmptyWindow, NotFinite
 from cycosc.identities import _Dual, _mono_expr, _rep, _verdict, _xi_side, check_winf, run_suite
-from cycosc.normal_order import kpoly_left_mul, nf_add, nf_zero
+from cycosc.normal_order import kpoly_left_mul, nf_add, nf_scale, nf_zero
 from cycosc.params import validate_alpha
 
 DIMS = (7, 13, 24, 64, 256)
@@ -97,22 +99,55 @@ def test_an_off_diagonal_term_is_seen_by_its_own_gate(monkeypatch):
     clean = {c.id: c for c in check_winf(params, 16)}
     rep = _rep(params, 16)
     target = identities.normal_form(ex.Commutator(_mono_expr(2, 1), _mono_expr(1, 1)), params)
+    # the pair is reduced in one orientation, whose normal form is target or its negation
+    oriented = (target.terms, nf_scale(target, -1.0).terms)
     real = identities.nf_to_matrix
 
     def nf_to_matrix(nf, rep_):
         mat = real(nf, rep_)
-        if nf.terms == target.terms:  # the oracle side of [w^2_1, w^1_1] only: grade 1, offset 1
+        if nf.terms in oriented:  # the oracle side of the pair only: grade 1, offset 1
             mat = mat + rep.monomial(0, 2, 0)  # a term two diagonals away, inside the window
         return mat
 
     monkeypatch.setattr(identities, "nf_to_matrix", nf_to_matrix)
     graded = {c.id: c for c in check_winf(params, 16)}
-    hit = graded.pop("winf.s2.m1.t1.n1")
-    assert clean["winf.s2.m1.t1.n1"].status != "fail"
-    assert hit.status == "fail"
-    assert hit.fitted["on_ladder"]  # the normal form is untouched: the gate alone fails it
-    assert hit.residual_best > 1e-3
-    assert graded == {k: v for k, v in clean.items() if k != "winf.s2.m1.t1.n1"}
+    hits = ("winf.s2.m1.t1.n1", "winf.s1.m1.t2.n1")  # both brackets of the pair share its gate
+    for hit_id in hits:
+        hit = graded.pop(hit_id)
+        assert clean[hit_id].status != "fail"
+        assert hit.status == "fail"
+        assert hit.fitted["on_ladder"]  # the normal form is untouched: the gate alone fails it
+        assert hit.residual_best > 1e-3
+    assert graded == {k: v for k, v in clean.items() if k not in hits}
+
+
+def test_a_failed_product_fails_its_pair_alone(monkeypatch):
+    params = validate_alpha(3, _alpha(3))
+    clean = {c.id: c for c in check_winf(params, 16)}
+    pair = [identities.normal_form(_mono_expr(*sm), params).terms for sm in ((2, 1), (1, 1))]
+    real = identities.nf_mul
+
+    def nf_mul(x, y, p):
+        if [x.terms, y.terms] in (pair, pair[::-1]):
+            raise RuntimeError("no product of w^2_1 and w^1_1")
+        return real(x, y, p)
+
+    monkeypatch.setattr(identities, "nf_mul", nf_mul)
+    graded = check_winf(params, 16)
+    assert [c.id for c in graded] == sorted(clean)
+    for check in graded:
+        if check.id in ("winf.s2.m1.t1.n1", "winf.s1.m1.t2.n1"):
+            assert check.status == "fail"
+            assert check.fitted == {"error": "RuntimeError: no product of w^2_1 and w^1_1"}
+            assert check.residual_paper is None
+        else:
+            assert check == clean[check.id]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_realization_names_a_winf_entry():
+    with pytest.raises(NotFinite, match=r"^winf: winf\.s\d\.m\d\.t\d\.n\d: gate "):
+        run_suite(validate_alpha(2, (1e200, -1e200)), 16, ("winf",))
 
 
 def test_a_truncation_too_small_names_a_winf_entry():
