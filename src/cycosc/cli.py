@@ -10,19 +10,21 @@ Subcommands:
 Exit codes: 0 success (discrepancies included unless --strict-paper),
 1 identity failure under the active policy, 2 usage or parse errors, a
 malformed config, a number or expression too large or deep to evaluate, or a
-non-finite number in a JSON output, 3 I/O errors.
+non-finite number in an output, 3 I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
 from . import __version__
-from .errors import CycoscError
+from .errors import CycoscError, NotFinite
 from .expr import parse
 from .fock import build_rep, dump_matrices, spectrum, spectrum_closed_form
 from .identities import SUITES, run_suite
@@ -34,6 +36,8 @@ EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+_INF = float("inf")
 
 
 def _flag_vectors(args) -> dict:
@@ -90,8 +94,74 @@ def _emit(text: str, out_path: str | None):
 
 
 def _json(obj) -> str:
-    """The one JSON layout of every output; a non-finite number raises ValueError (exit 2)."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The one JSON layout of every output: the bytes of json.dumps(obj, sort_keys=True,
+    indent=2, allow_nan=False) and a final newline.
+
+    json.dumps is not used because its C encoder runs only when indent is None; with an
+    indent it falls back to a pure-Python encoder of nested generators, which costs more
+    than the rewrite engine on an nf word.  This writer walks the value once into one
+    list.  A non-finite number raises ValueError (exit 2); a type JSON lacks, or a key
+    that is not a str, raises TypeError.
+    """
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out: list, newline: str):
+    """Append `value`; `newline` is a newline and the indent of its closing bracket."""
+    keyed = isinstance(value, dict)
+    if keyed:
+        entries, close = sorted(value.items()), "}"
+    elif isinstance(value, (list, tuple)):
+        entries, close = value, "]"
+    else:
+        out.append(_scalar(value))
+        return
+    if not entries:
+        out.append("{}" if keyed else "[]")
+        return
+    inner = newline + "  "
+    separator = ("{" if keyed else "[") + inner
+    for item in entries:
+        if keyed:
+            key, item = item
+            out.append(separator + _encode_str(key) + ": ")  # TypeError for a key not a str
+        else:
+            out.append(separator)
+        separator = "," + inner
+        kind = type(item)  # str, float and int leaves inline, without a call per leaf
+        if kind is str:
+            out.append(_encode_str(item))
+        elif kind is float and -_INF < item < _INF:
+            out.append(float.__repr__(item))
+        elif kind is int:
+            out.append(int.__repr__(item))
+        elif isinstance(item, (dict, list, tuple)):
+            _write(item, out, inner)
+        else:
+            out.append(_scalar(item))
+    out.append(newline + close)
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as json.dumps writes it; float and int subclasses as their base type."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if -_INF < value < _INF:
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_matrix_dump(rep, path: str):
@@ -167,6 +237,8 @@ def cmd_nf(args) -> int:
     params = _resolve_params(args, _load_config(args))
     tree = parse(args.expr)
     nf = normal_form(tree, params)
+    if not all(cmath.isfinite(c) for c in nf.terms.values()):
+        raise NotFinite(f"the normal form of {args.expr!r} has a non-finite coefficient")
     text = format_nf_json(nf) if args.format == "json" else format_nf_text(nf)
     _emit(text, args.out)
     return EXIT_OK

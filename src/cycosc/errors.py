@@ -28,7 +28,8 @@ class NotReal(CycoscError):
 
 
 class NotFinite(CycoscError):
-    """A parameter entry, or a residual of the realization it gives, is infinite or NaN."""
+    """A parameter entry or a quantity derived from it (kappa, a level shift, a normal-form
+    coefficient, a residual of the realization) is infinite or NaN."""
 
 
 # ---- Fock realization ----

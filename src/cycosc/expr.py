@@ -113,21 +113,23 @@ _TOKEN_RE = re.compile(
       | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
       | (?P<name>[A-Za-z]+\d*)
       | (?P<punct>[+\-*^\[\]{}(),])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+_PROJ_RE = re.compile(r"P(\d+)")
+_ATOMS = {atom.kind: atom for atom in (A, AD, NUM, KLEIN, ONE)}
 
 
 def _tokenize(text: str):
+    """(kind, text, position) per token, in one pass; `bad` matches any other character."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -193,7 +195,7 @@ class _Parser:
             self.next()
             sign = -sign
         kind, text, pos = self.next()
-        if kind != "number" or not re.fullmatch(r"\d+", text):
+        if kind != "number" or not text.isdecimal():
             raise ParseError("exponent must be an integer", pos)
         if sign < 0:
             raise NegativePower(f"negative power at position {pos}")
@@ -204,9 +206,9 @@ class _Parser:
         if kind == "number":
             return Scalar(complex(float(text)))
         if kind == "name":
-            if text in ATOM_KINDS:
-                return Atom(text)
-            m = re.fullmatch(r"P(\d+)", text)
+            if text in _ATOMS:
+                return _ATOMS[text]
+            m = _PROJ_RE.fullmatch(text)
             if m:
                 return Proj(int(m.group(1)))
             raise ParseError(f"unknown atom {text!r}", pos)

@@ -63,7 +63,8 @@ class NormalForm:
 
 
 def _pruned(lam: int, terms: dict) -> NormalForm:
-    return NormalForm(lam, {k: v for k, v in terms.items() if abs(v) >= PRUNE_TOL})
+    """Drop the terms below PRUNE_TOL; a NaN coefficient is kept, so callers can refuse it."""
+    return NormalForm(lam, {k: v for k, v in terms.items() if not abs(v) < PRUNE_TOL})
 
 
 def nf_zero(lam: int) -> NormalForm:
@@ -298,7 +299,7 @@ def kpoly_left_sum(rows, lam: int) -> NormalForm:
             if abs(c) < PRUNE_TOL:
                 continue
             term = complex(c) * xs[r * (q - p) % lam]
-            if abs(term) >= PRUNE_TOL:
+            if not abs(term) < PRUNE_TOL:  # keeps NaN, as _pruned does
                 terms[(p, q, r % lam)] = term
     return NormalForm(lam, terms)
 

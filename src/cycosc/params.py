@@ -112,7 +112,8 @@ def validate_alpha(lam: int, alpha) -> AlgebraParams:
     """Validate an alpha vector and derive beta, gamma and kappa.
 
     Raises BadLength, NotFinite, SumNotZero or UnitarityBound when the input
-    violates the defining constraints.
+    violates the defining constraints; NotFinite also when gamma or kappa
+    overflows.
     """
     if lam < 2:
         raise BadLength(f"cyclic order must be >= 2, got {lam}")
@@ -136,7 +137,10 @@ def validate_alpha(lam: int, alpha) -> AlgebraParams:
             )
 
     gamma = tuple(0.5 * (beta[mu] + beta[mu + 1]) for mu in range(lam))
-    kappa = kappa_from_alpha(lam, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        kappa = kappa_from_alpha(lam, alpha)
+    if not all(cmath.isfinite(v) for v in (*gamma, *kappa)):
+        raise NotFinite(f"alpha {list(alpha)} overflows its level shifts or kappa")
     return AlgebraParams(
         lam=lam,
         alpha=alpha,

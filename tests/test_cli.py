@@ -1,12 +1,14 @@
 import contextlib
+import enum
 import io
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycosc.cli import main
+from cycosc.cli import _json, main
 
 
 def run(capsys, *argv):
@@ -501,3 +503,57 @@ def test_config_boundary_never_raises(tmp_path_factory, cfg_obj):
     for argv in (["nf", "a", "--config", str(cfg)], ["spectrum", "--config", str(cfg)]):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nf_refuses_an_alpha_whose_kappa_overflows(capsys):
+    # finite alpha, but the alpha -> kappa transform overflows: the K term would be lost
+    code, out, err = run(capsys, "nf", "[a, ad]", "--lambda", "2", "--alpha", "1e308,-1e308")
+    assert code == 2
+    assert err.startswith("error: alpha ") and "overflows" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("text", ["1e308 * 10 * a", "1e400", "1e200 * 1e200 * (1,1)"])
+def test_nf_refuses_a_non_finite_coefficient(capsys, text, fmt):
+    code, out, err = run(capsys, "nf", text, "--format", fmt)
+    assert code == 2
+    assert err.startswith("error: the normal form of ") and "non-finite" in err
+    assert out == ""
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+WRITER_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200) | FINITE
+    | st.just(-0.0) | FINITE.map(np.float64) | st.text(max_size=4)
+)
+WRITER_VALUES = st.recursive(
+    WRITER_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=WRITER_VALUES)
+@example(value={"\u00e9\u4e2d\U0001f600": [{}, [], (), -0.0, 10**40, "\x00\"\\"]})
+@example(value=[np.float64(1e-310), {"b": None, "a": [True, False]}])
+@example(value=[enum.IntEnum("Level", "ONE TWO").TWO, {"n": enum.IntEnum("Grade", "G").G}])
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+def test_json_writer_refuses_non_finite_numbers(bad):
+    for value in (bad, [1, bad], {"x": {"y": bad}}):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            _json(value)
+
+
+@pytest.mark.parametrize("bad", [np.bool_(True), np.int64(3), 1j, {1, 2}, {1: 2}, {"a": 1, 2: 3}])
+def test_json_writer_refuses_other_types(bad):
+    for value in (bad, [bad], {"x": [bad]}):
+        with pytest.raises(TypeError):
+            _json(value)

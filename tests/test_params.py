@@ -149,6 +149,14 @@ def test_non_finite_alpha_rejected(alpha):
         validate_alpha(2, alpha)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [(1e308, -1e308), (1e308, 0.0, -1e308)])
+def test_overflowing_kappa_or_gamma_rejected(alpha):
+    # finite entries, but kappa (lambda 2) or the level shift gamma_1 (lambda 3) overflows
+    with pytest.raises(NotFinite):
+        validate_alpha(len(alpha), alpha)
+
+
 def test_non_finite_kappa_rejected():
     with pytest.raises(NotFinite):
         params_from_kappa(2, [complex(float("inf"), 0.0)])

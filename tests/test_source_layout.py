@@ -1,5 +1,6 @@
 """Layout rules for the package source."""
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cycosc"
@@ -14,3 +15,17 @@ def test_no_source_line_over_max_length():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_json_output_has_one_writer():
+    """Every JSON output goes through cli._json: no module calls json.dump or json.dumps."""
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                calls += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name in ("dump", "dumps")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                  and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
