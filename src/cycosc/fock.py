@@ -138,23 +138,11 @@ class Banded:
                 result = z if result is None else result @ z
         return result
 
-    def window_max(self, lo: int, hi: int, minus: Banded | None = None) -> float:
-        """Largest absolute entry of self (- minus) in columns lo..hi.
-
-        NaN if any such entry is NaN, 0.0 with no bands.  The difference is
-        taken on the window columns only.
-        """
-        cols = slice(lo, hi + 1)
-        if minus is None:
-            pieces = [vec[cols] for vec in self.bands.values()]
-        else:
-            other = minus.bands
-            pieces = [vec[cols] - other[offset][cols] if offset in other else vec[cols]
-                      for offset, vec in self.bands.items()]
-            pieces += [vec[cols] for offset, vec in other.items() if offset not in self.bands]
+    def window_max(self, lo: int, hi: int) -> float:
+        """Largest absolute entry in columns lo..hi; NaN if one is NaN, 0.0 with no bands."""
         peak = 0.0
-        for piece in pieces:
-            band = float(np.abs(piece).max())
+        for vec in self.bands.values():
+            band = float(np.abs(vec[lo : hi + 1]).max())
             if band > peak:
                 peak = band
             elif band != band:  # NaN: no later band may replace it
@@ -238,13 +226,6 @@ class FockRep:
                 table.setflags(write=False)
             self._cache[key] = table
         return self._cache[key]
-
-    def monomial(self, p: int, q: int, r: int) -> Banded:
-        """(a+)^p a^q K^r for 0 <= r < lam, a view of its row of `grade_table`."""
-        if not 0 <= r < self.params.lam:
-            raise ValueError(f"Klein power {r} outside 0..{self.params.lam - 1}")
-        table = self.grade_table(p, q)
-        return Banded(self.dim, {} if table is None else {p - q: table[r]})
 
 
 # Lifting the cap waits for truncation-independent residuals: the oracle gate
@@ -371,18 +352,16 @@ def safe_window(rep: FockRep, exprs) -> SafeWindow:
     return SafeWindow(0, hi)
 
 
-def window_residual(mat: Banded, window: SafeWindow, *scale: Banded,
-                    minus: Banded | None = None, floor: float = 1.0) -> float:
-    """Max absolute entry of `mat` (- `minus`) over the safe-window columns, relative to `scale`.
+def window_residual(mat: Banded, window: SafeWindow, *scale: Banded) -> float:
+    """Max absolute entry of `mat` over the safe-window columns, relative to `scale`.
 
     The maximum is divided by the largest window maximum of the `scale`
-    operands, floored at `floor`; with no operands and the default floor of 1
-    it is the absolute maximum.
+    operands, floored at 1; with no operands it is the absolute maximum.
     """
-    norm = floor
+    norm = 1.0
     for op in scale:
         norm = max(norm, op.window_max(window.lo, window.hi))
-    return mat.window_max(window.lo, window.hi, minus) / norm
+    return mat.window_max(window.lo, window.hi) / norm
 
 
 def dump_matrices(rep: FockRep) -> dict:

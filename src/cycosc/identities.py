@@ -10,12 +10,13 @@ then assembled literally and compared against that ground truth:
                  different constants (the fitted ones are reported)
     fail         the two oracles disagree, or an error occurred
 
-Residuals are max absolute entries over safe-window columns.  The oracle
-gate is normalized by the bracket's own window maximum, floored at 1.  A
-residual against the published side is normalized by the window maxima of
-the bracket and of the operands each check names (its target monomial, H0,
-or a defining relation's left side), also floored at 1; a claim that the
-bracket vanishes is normalized by the named operands alone.
+The oracle gate is the largest absolute entry of the matrix difference over
+the safe-window columns, normalized by the bracket's own window maximum,
+floored at 1.  A published side is graded in normal-form space, where two
+elements are equal exactly when their coefficients on (a+)^p a^q K^r agree:
+its residual is max_k |nf_k - pub_k| / max(1, max_k |nf_k|), and a claim that
+the bracket vanishes is the empty form.  So only the gate depends on the
+truncation.
 
 ``FAMILIES`` is the one place where a check family is declared: the suite
 that runs it, its id prefix and index letters, its tolerance, its check
@@ -61,6 +62,7 @@ from .normal_order import (
     left_read,
     nf_add,
     nf_mul,
+    nf_monomial,
     nf_scale,
     nf_sub,
     nf_to_matrix,
@@ -112,7 +114,7 @@ CONVENTION_NOTES = (
     "Klein operator realized as K = exp(2i pi N / lam), forced by a+ K = x K a+",
     "alpha<->kappa transforms are the DFT pair consistent with the realized bracket",
     "ladder-bracket comparisons apply the fitted global sign to the published form",
-    "residuals are max-abs window entries normalized by operand magnitude",
+    "published sides are graded by normal-form coefficients: max|nf - pub| / max(1, max|nf|)",
 )
 
 
@@ -179,25 +181,29 @@ class _Dual:
         return d
 
     def _grade(self, rep: FockRep, mat: Banded, nf: NormalForm, window: SafeWindow) -> None:
-        self.rep, self.mat, self.nf, self.window = rep, mat, nf, window
-        # the word's own window peak, floored at 1: the scale of every residual against it
-        self.floor = max(1.0, mat.window_max(window.lo, window.hi))
-        self.gate = self.against(nf)
+        self.nf, self.window = nf, window
+        self.gate = window_residual(mat - nf_to_matrix(nf, rep), window, mat)
         if not math.isfinite(self.gate):
             raise NotFinite(f"gate {self.gate} at dim {rep.dim}: the realization overflows")
 
-    def against(self, published, *scale) -> float:
-        """Residual of the word against a published right side.
+    def against(self, published: NormalForm | None) -> float:
+        """Residual of the word against a published right side (see `_residual`)."""
+        return _residual(self.nf, published)
 
-        `published` is a normal form or its matrix, normalized by the word and
-        the `scale` operands; None claims the word vanishes, normalized by the
-        `scale` operands alone.
-        """
-        if published is None:
-            return window_residual(self.mat, self.window, *scale)
-        if isinstance(published, NormalForm):
-            published = nf_to_matrix(published, self.rep)
-        return window_residual(self.mat, self.window, *scale, minus=published, floor=self.floor)
+
+def _residual(nf: NormalForm, published: NormalForm | None) -> float:
+    """Coefficient residual of a normal form against a published one.
+
+    max_k |nf_k - pub_k| / max(1, max_k |nf_k|) over the basis monomials k;
+    None is the empty form, a claim that the word vanishes.  NaN when a
+    coefficient is not finite, tested before `abs` as `_pruned` does.
+    """
+    own = nf.terms
+    pub = {} if published is None else published.terms
+    diff = [own.get(k, 0j) - pub.get(k, 0j) for k in own.keys() | pub.keys()]
+    if not all(map(cmath.isfinite, [*diff, *own.values()])):
+        return math.nan
+    return max(map(abs, diff), default=0.0) / max([1.0, *map(abs, own.values())])
 
 
 def _c2(value: complex):
@@ -261,13 +267,18 @@ def check_basic(params: AlgebraParams, dim: int) -> list:
     checks = []
 
     def add(check_id, pairs):
-        """pairs: list of (lhs_expr, rhs_expr or None) whose difference must vanish."""
+        """pairs: list of (lhs_expr, rhs_expr or None) whose difference must vanish.
+
+        The gate is the difference's; the residual grades the left side's
+        normal form against the right side's, so it scales with the relation.
+        """
         worst_paper = 0.0
         worst_gate = 0.0
         windows = []
         for lhs, rhs in pairs:
             d = _Dual(rep, lhs if rhs is None else ex.summed(lhs, ex.negated(rhs)))
-            worst_paper = max(worst_paper, d.against(None, apply_word(rep, lhs)))
+            published = None if rhs is None else normal_form(rhs, params)
+            worst_paper = max(worst_paper, _residual(normal_form(lhs, params), published))
             worst_gate = max(worst_gate, d.gate)
             windows.append(d.window)
         checks.append(_verdict(check_id, min(windows, key=lambda w: w.hi), worst_gate, worst_paper))
@@ -343,12 +354,11 @@ def check_single_mode(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
 
     on_support = all((p, q) == (m - 1, 0) for (p, q) in d.nf.support())
 
-    target = rep.matrix_power("ad", m - 1)
     residuals = {}
     for variant in F_CANDIDATES:
         poly = f_kpoly(params, m, variant).vec
         poly[0] = m
-        residuals[variant] = d.against(kpoly_left_mul(poly, m - 1, 0, lam), target)
+        residuals[variant] = d.against(kpoly_left_mul(poly, m - 1, 0, lam))
 
     winner = next((v for v in F_CANDIDATES if residuals[v] < TOL["single"]), "none")
     if not params.is_deformed:
@@ -406,7 +416,7 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
         ((poly, m - 1 - l, n - 1 - l) for l, poly in enumerate(tower.coeffs[:m])), lam
     )
     prod_mat = rep.matrix_power("a", n - 1) @ rep.matrix_power("ad", m - 1)
-    res_tower = window_residual(prod_mat, d.window, prod_mat, minus=nf_to_matrix(tower_nf, rep))
+    res_tower = window_residual(prod_mat - nf_to_matrix(tower_nf, rep), d.window, prod_mat)
 
     fitted = {"assembly_oracle_beta": res_oracle, "assembly_closed_beta": res_closed,
               "tower_matrix_residual": res_tower, "on_support": bool(on_support)}
@@ -425,7 +435,7 @@ def _ladder(params: AlgebraParams, dim: int, check_id: str, m: int, n: int, poly
     sigma = virasoro_sign(lam)
     d = _Dual(rep, ex.Commutator(_ell_expr(m), _ell_expr(n)))
     rhs_nf = nf_scale(kpoly_left_mul(poly, m + n + 1, 1, lam), sigma)
-    res_paper = d.against(rhs_nf, rep.monomial(m + n + 1, 1, 0))
+    res_paper = d.against(rhs_nf)
     lead_poly = left_read(d.nf, m + n + 1, 1)
     fitted = {"sigma": sigma, "lead": _c2(lead_poly[0]), **_ktable(lead_poly, "K", 1)}
     return _verdict(check_id, d.window, d.gate, res_paper, fitted=fitted)
@@ -438,11 +448,10 @@ def check_virasoro(params: AlgebraParams, dim: int, m: int, n: int) -> IdentityC
     check_id = f"virasoro.m{m}.n{n}"
     lam = params.lam
     if m == n:
-        # antisymmetry makes both sides zero; no target monomial is needed
-        rep = _rep(params, dim)
-        d = _Dual(rep, ex.Commutator(_ell_expr(m), _ell_expr(n)))
-        res_paper = d.against(None, rep.monomial(m + 1, 1, 0))
-        return _verdict(check_id, d.window, d.gate, res_paper, fitted={"sigma": virasoro_sign(lam)})
+        # antisymmetry makes both sides zero
+        d = _Dual(_rep(params, dim), ex.Commutator(_ell_expr(m), _ell_expr(n)))
+        return _verdict(check_id, d.window, d.gate, d.against(None),
+                        fitted={"sigma": virasoro_sign(lam)})
 
     poly = _kpoly(params, m - n, lambda k, r: k * (
         root_power(lam, -r * (n + 1)) - root_power(lam, -r * (m + 1))
@@ -459,20 +468,19 @@ def _klein(params: AlgebraParams, dim: int, check_id: str, generator, s: int, m:
     fitted coefficient is graded as the best residual; a measured `grading`
     is reported with whether w commutes with K.
     """
-    rep = _rep(params, dim)
-    d = _Dual(rep, ex.Commutator(generator, ex.KLEIN))
+    lam = params.lam
+    d = _Dual(_rep(params, dim), ex.Commutator(generator, ex.KLEIN))
     c_fit = d.nf.coefficient(s, m, 1)
-    mono = rep.monomial(s, m, 1)
+    phase = 1.0 if shift is None else root_power(lam, shift)  # monomial: phase (a+)^s a^m K
     if shift is not None:
-        mono = complex(root_power(params.lam, shift)) * mono
-        c_fit = c_fit * root_power(params.lam, -shift)
-    res_fit = d.against(c_fit * mono, mono)
+        c_fit = c_fit * root_power(lam, -shift)
+    res_fit = d.against(nf_monomial(lam, s, m, 1, c_fit * phase))
     fitted = {"coefficient": _c2(c_fit), "claimed": _c2(claimed)}
     if grading is not None:
         fitted["grading"] = _c2(grading)
         fitted["commutes"] = bool(res_fit < 1e-10 and abs(c_fit) < 1e-10)
-    return _verdict(check_id, d.window, d.gate, d.against(claimed * mono, mono),
-                    max(res_fit, d.gate), fitted)
+    res_paper = d.against(nf_monomial(lam, s, m, 1, claimed * phase))
+    return _verdict(check_id, d.window, d.gate, res_paper, max(res_fit, d.gate), fitted)
 
 
 def check_klein_virasoro(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
@@ -633,7 +641,7 @@ def check_sp2(params: AlgebraParams, dim: int) -> list:
     def entry(check_id, s1, m1, s2, m2, rhs_poly, target_s, target_m):
         d = _Dual(rep, ex.Commutator(_mono_expr(s1, m1), _mono_expr(s2, m2)))
         rhs_nf = kpoly_left_mul(rhs_poly, target_s, target_m, lam)
-        res_paper = d.against(rhs_nf, rep.monomial(target_s, target_m, 0))
+        res_paper = d.against(rhs_nf)
         fitted = _ktable(left_read(d.nf, target_s, target_m), "K")
         checks.append(_verdict(check_id, d.window, d.gate, res_paper, fitted=fitted))
 
@@ -666,8 +674,8 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
         # undeformed claims: C vanishes, and it is central on the triple, so [C, w^1_1] = 0
         c = _Dual(rep, c_expr)
         return [
-            _verdict("casimir.vanishing", c.window, c.gate, c.against(None, rep.mat_h0)),
-            _verdict("casimir.bracket", b.window, b.gate, b.against(None, rep.mat_h0)),
+            _verdict("casimir.vanishing", c.window, c.gate, c.against(None)),
+            _verdict("casimir.bracket", b.window, b.gate, b.against(None)),
         ]
 
     # published right side: first piece on (a+)^2 a^2, second on a+ a
@@ -681,8 +689,7 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
     poly11 = kpoly_mul(bracket_a, bracket_b, 1.0 - x)
     rhs_nf = nf_add(kpoly_left_mul(poly22, 2, 2, lam), kpoly_left_mul(poly11, 1, 1, lam))
     fitted = {**_ktable(left_read(b.nf, 2, 2), "w22_K"), **_ktable(left_read(b.nf, 1, 1), "w11_K")}
-    return [_verdict("casimir.bracket", b.window, b.gate, b.against(rhs_nf, rep.mat_h0),
-                     fitted=fitted)]
+    return [_verdict("casimir.bracket", b.window, b.gate, b.against(rhs_nf), fitted=fitted)]
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,13 @@ class NormalForm:
 
 
 def _pruned(lam: int, terms: dict) -> NormalForm:
-    """Drop the terms below PRUNE_TOL; a NaN coefficient is kept, so callers can refuse it."""
-    return NormalForm(lam, {k: v for k, v in terms.items() if not abs(v) < PRUNE_TOL})
+    """Drop the terms below PRUNE_TOL; a non-finite coefficient is kept, so callers can refuse it.
+
+    Finiteness is tested before `abs`: CPython's complex abs of a NaN leaves
+    `errno` as an earlier C call set it, and may raise OverflowError from it.
+    """
+    return NormalForm(lam, {k: v for k, v in terms.items()
+                            if not (cmath.isfinite(v) and abs(v) < PRUNE_TOL)})
 
 
 def nf_zero(lam: int) -> NormalForm:
@@ -250,7 +255,7 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
                 raise UnknownSymbol(f"P{mu} undefined for cyclic order {lam}")
             return _projector_form(params, mu)
         case ex.Scalar(value):
-            return nf_monomial(lam, 0, 0, 0, value)
+            return _pruned(lam, {(0, 0, 0): complex(value)})
         case ex.Sum(terms):
             acc = normal_form(terms[0], params)
             for t in terms[1:]:
@@ -296,10 +301,10 @@ def kpoly_left_sum(rows, lam: int) -> NormalForm:
     terms = {}
     for poly, p, q in rows:
         for r, c in enumerate(np.asarray(poly).tolist()):
-            if abs(c) < PRUNE_TOL:
+            if cmath.isfinite(c) and abs(c) < PRUNE_TOL:
                 continue
             term = complex(c) * xs[r * (q - p) % lam]
-            if not abs(term) < PRUNE_TOL:  # keeps NaN, as _pruned does
+            if not (cmath.isfinite(term) and abs(term) < PRUNE_TOL):  # as _pruned tests
                 terms[(p, q, r % lam)] = term
     return NormalForm(lam, terms)
 

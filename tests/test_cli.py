@@ -523,6 +523,32 @@ def test_nf_refuses_a_non_finite_coefficient(capsys, text, fmt):
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("text", ["0", "1e-20", "0*a"])
+def test_nf_of_zero_prints_as_a_cancelled_sum_does(capsys, text, fmt):
+    """A scalar is pruned like any sum, so zero has one printed form."""
+    _, zero, _ = run(capsys, "nf", "a - a", "--format", fmt)
+    code, out, _ = run(capsys, "nf", text, "--format", fmt)
+    assert code == 0
+    assert out == zero
+    if fmt == "text":
+        assert zero.splitlines() == ["0"]
+    else:
+        assert json.loads(zero)["terms"] == []
+
+
+@pytest.mark.parametrize("stale", [False, True])
+def test_nf_refuses_a_nan_coefficient_whatever_errno_holds(capsys, stale):
+    """A NaN coefficient is tested before `abs`, which may raise from an earlier call's errno."""
+    if stale:
+        with pytest.raises(OverflowError):  # leaves errno at ERANGE
+            abs(complex(1.5e308, 1.5e308))
+    code, out, err = run(capsys, "nf", "1e400 - 1e400")
+    assert code == 2
+    assert err.startswith("error: the normal form of ") and "non-finite" in err
+    assert out == ""
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 WRITER_LEAVES = (
     st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200) | FINITE

@@ -20,35 +20,35 @@ from cycosc.cli import main
 GOLDEN = [
     (
         ("--lambda", "2", "--alpha", "0.5,-0.5"),
-        "c894f25b7ee65cceffc969de782bbb09a620d2400bae8af4bca6337a3b3ac07a",
+        "8b619540f5b93e606e3bb070961dcff449e03f5e8d678fefff89d9f68c7fc4c7",
     ),
     (
         ("--lambda", "2", "--alpha", "0,0"),
-        "d69020c7916b5bfe2f042aa5c858724f94346e951e10144c2da1440b6fff7733",
+        "b5540831bffa52320b5b80b23c44530e134c1cdbe341219ab6a6ef45d9775491",
     ),
     (
         ("--lambda", "3", "--kappa", "0.2:0.1,0.2:-0.1"),
-        "521d1a2d2527a5640f533250040ff37054a3b440f83215809b988e9f68fcb9e4",
+        "c390feb23c55423a1d25f169b3d6d4b46011c5c367699bcd22f15cc3e43c48bb",
     ),
     (
         ("--lambda", "5", "--alpha", "0.3,-0.1,0.2,-0.25,-0.15"),
-        "6fce5c89d2903c1171b6419d7ee22a41eaf8a2d6df287519ccdab915767f2326",
+        "fac0768caf6934e2a997cfba91a6aa2ed8a9c4a1fd662dafc774baa45e2ebd7f",
     ),
     (
         ("--lambda", "2", "--kappa", "0.5", "--phi-reading", "alt", "--N-reading", "alt"),
-        "c03d77ec2ada56a7621b18351b29e385395430595748f4a5c4426d38c79966a4",
+        "413c21685022191657293c4a717b94c8f61952c1e0dd608d07da3b7392aedffe",
     ),
     (
         ("--lambda", "7", "--alpha", "0.3,-0.2,0.1,-0.4,0.2,0.15,-0.15", "--dim", "20"),
-        "214e5bddabee3dccd4c9e3e3b676277f9efceb96fea1ccc8acfc081da945f8a8",
+        "9cde21fc565a6b492e69970c7d4f14626fe1bc57d290061744f0c0010b04236f",
     ),
     (
         ("--lambda", "8", "--alpha", "0.3,-0.2,0.1,-0.4,0.2,0.15,-0.15,0.0", "--dim", "13"),
-        "9ace0a7a2e81cebda6e4800c37dfab04bc0d15f769c6660d65898e6097e56359",
+        "0e61e129c24c81d3078aa1c81830aa83f6e2765353a624ff399262754a0556e5",
     ),
     (
         ("--lambda", "5", "--alpha", "0.3,-0.1,0.2,-0.25,-0.15", "--dim", "128"),
-        "ab877ea8b39ab6997ad80cb092963bb1ccac4de66c864a1291d25dbd47a46311",
+        "3d64128d3d32ff61b6a38ef80c517011cc1f50ac9dd1c4d91503ab01719738a3",
     ),
 ]
 

@@ -1,0 +1,146 @@
+"""Published sides graded in normal-form space.
+
+A published right side is graded by its coefficients on the basis
+(a+)^p a^q K^r, max_k |nf_k - pub_k| / max(1, max_k |nf_k|), so the residual
+does not depend on the truncation, and a small error in any one term is seen
+however large the other terms of the bracket grow along the window.  Only the
+oracle gate is evaluated as a matrix.
+"""
+
+import math
+
+import pytest
+
+from cycosc import expr as ex
+from cycosc import identities
+from cycosc.identities import TOL, _Dual, _rep, _verdict, check_single_mode, run_suite
+from cycosc.normal_order import NormalForm
+from cycosc.params import validate_alpha
+
+ALPHAS = {2: (0.5, -0.5), 5: (0.3, -0.1, 0.2, -0.25, -0.15)}
+DIMS = (32, 64, 128, 256)
+
+
+def _stale_erange():
+    """Leave errno at ERANGE, as a complex abs that overflows does."""
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
+
+
+@pytest.mark.parametrize("lam", sorted(ALPHAS))
+def test_residual_paper_does_not_depend_on_dim(lam):
+    params = validate_alpha(lam, ALPHAS[lam])
+    reports = [run_suite(params, dim)["checks"] for dim in DIMS]
+    first = {c["id"]: c["residual_paper"] for c in reports[0]}
+    for report in reports[1:]:
+        assert {c["id"]: c["residual_paper"] for c in report} == first
+
+
+def _perturbed(monkeypatch, params, dim):
+    """Each term of each passing comparison, changed alone by 1e-6 of its size.
+
+    `_residual` is wrapped to record its calls, and `_verdict` to give
+    them the check id and family tolerance of the entry they grade.  A
+    comparison passes when its residual is below that tolerance; each of its
+    nonzero terms is then changed alone and compared again.  Returns
+    (id, term, changed residual >= tolerance, status) for every change, where
+    status is the entry graded again with the changed residual when the
+    comparison is the one behind the entry's `res_paper`, and None otherwise.
+    """
+    residual, verdict = identities._residual, identities._verdict
+    pending, changes = [], []
+
+    def recorded(nf, published):
+        res = residual(nf, published)
+        pending.append((nf, published, res))
+        return res
+
+    def graded(check_id, window, gate, res_paper, *rest, **kw):
+        tol = TOL[check_id.split(".")[0]]
+        for nf, pub, res in pending:
+            if pub is None or not res < tol:
+                continue
+            for key, c in pub.terms.items():
+                if c == 0:
+                    continue
+                changed = residual(nf, NormalForm(pub.lam, {**pub.terms, key: c + 1e-6 * c}))
+                status = None
+                if res is res_paper:
+                    status = verdict(check_id, window, gate, changed, *rest, **kw).status
+                changes.append((check_id, key, changed >= tol, status))
+        pending.clear()
+        return verdict(check_id, window, gate, res_paper, *rest, **kw)
+
+    monkeypatch.setattr(identities, "_residual", recorded)
+    monkeypatch.setattr(identities, "_verdict", graded)
+    run_suite(params, dim)
+    monkeypatch.undo()
+    return changes
+
+
+@pytest.mark.parametrize("lam, count, entries", [(2, 172, 92), (5, 185, 48)])
+def test_every_changed_published_term_is_seen_at_every_dim(monkeypatch, lam, count, entries):
+    """`count` changed terms, `entries` of them on the side behind an entry's res_paper."""
+    params = validate_alpha(lam, ALPHAS[lam])
+    terms = None
+    for dim in DIMS:
+        changes = _perturbed(monkeypatch, params, dim)
+        assert all(seen for _, _, seen, _ in changes), dim
+        statuses = [status for *_, status in changes if status is not None]
+        assert set(statuses) <= {"fail", "discrepancy"}, dim
+        assert len(statuses) == entries
+        if terms is None:
+            terms = [change[:2] for change in changes]
+        assert [change[:2] for change in changes] == terms
+    assert len(terms) == count
+
+
+def test_nf_to_matrix_runs_once_per_dual_and_per_tower(monkeypatch):
+    """Published sides never become matrices: only gates call nf_to_matrix."""
+    params = validate_alpha(5, ALPHAS[5])
+    real_grade, real_to_matrix = _Dual._grade, identities.nf_to_matrix
+    calls = {"duals": 0, "nf_to_matrix": 0}
+
+    def grade(self, *args):
+        calls["duals"] += 1
+        return real_grade(self, *args)
+
+    def to_matrix(*args):
+        calls["nf_to_matrix"] += 1
+        return real_to_matrix(*args)
+
+    monkeypatch.setattr(_Dual, "_grade", grade)
+    monkeypatch.setattr(identities, "nf_to_matrix", to_matrix)
+    checks = run_suite(params, 64)["checks"]
+    towers = sum("tower_matrix_residual" in (c["fitted"] or {}) for c in checks)
+    assert towers == 32
+    assert calls["nf_to_matrix"] == calls["duals"] + towers
+
+
+@pytest.mark.parametrize("stale", [False, True])
+def test_a_non_finite_published_coefficient_grades_fail(monkeypatch, stale):
+    """The coefficient test runs before `abs`, whatever errno earlier calls left."""
+    params = validate_alpha(2, ALPHAS[2])
+    real = identities.kpoly_left_mul
+
+    def spoiled(*args):
+        nf = real(*args)
+        nan_terms = {key: complex(math.nan, 0.0) for key in nf.terms}
+        if stale:
+            _stale_erange()
+        return NormalForm(nf.lam, nan_terms)
+
+    monkeypatch.setattr(identities, "kpoly_left_mul", spoiled)
+    check = check_single_mode(params, 32, 3)
+    assert check.status == "fail"
+    assert math.isnan(check.residual_paper)
+    assert "error" not in check.fitted
+
+
+def test_a_claim_that_the_bracket_vanishes_is_the_empty_form():
+    params = validate_alpha(2, ALPHAS[2])
+    d = _Dual(_rep(params, 32), ex.Commutator(ex.A, ex.AD))
+    empty = NormalForm(2, {})
+    assert d.against(None) == d.against(empty) == 1.0  # [a, a+] = 1 + 0.5 K
+    # the gate passes, so a wrong claim of zero is a discrepancy
+    assert _verdict("basic.x", d.window, d.gate, d.against(None)).status == "discrepancy"

@@ -16,6 +16,7 @@ import pytest
 from cycosc import expr as ex
 from cycosc import identities
 from cycosc.errors import EmptyWindow, NotFinite
+from cycosc.fock import Banded
 from cycosc.identities import _Dual, _mono_expr, _rep, _verdict, _xi_side, check_winf, run_suite
 from cycosc.normal_order import kpoly_left_mul, nf_add, nf_scale, nf_zero
 from cycosc.params import validate_alpha
@@ -106,7 +107,8 @@ def test_an_off_diagonal_term_is_seen_by_its_own_gate(monkeypatch):
     def nf_to_matrix(nf, rep_):
         mat = real(nf, rep_)
         if nf.terms in oriented:  # the oracle side of the pair only: grade 1, offset 1
-            mat = mat + rep.monomial(0, 2, 0)  # a term two diagonals away, inside the window
+            # a term two diagonals away, inside the window
+            mat = mat + Banded(16, {-2: rep.grade_table(0, 2)[0]})
         return mat
 
     monkeypatch.setattr(identities, "nf_to_matrix", nf_to_matrix)
