@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     params = _resolve_params(args, cfg)
     dim = _resolve_dim(args, cfg)
-    suites = tuple(args.suite.split(",")) if args.suite else ("all",)
+    suites = ("all",) if args.suite is None else tuple(args.suite.split(","))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by NotFinite
         report = run_suite(params, dim, suites,
                            phi_reading=args.phi_reading, n_reading=args.N_reading)

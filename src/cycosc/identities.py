@@ -14,9 +14,10 @@ The oracle gate is the largest absolute entry of the matrix difference over
 the safe-window columns, normalized by the bracket's own window maximum,
 floored at 1.  A published side is graded in normal-form space, where two
 elements are equal exactly when their coefficients on (a+)^p a^q K^r agree:
-its residual is max_k |nf_k - pub_k| / max(1, max_k |nf_k|), and a claim that
-the bracket vanishes is the empty form.  So only the gate depends on the
-truncation.
+its residual is max_k |nf_k - pub_k| / max(1, max_k |nf_k|) (the defining
+relations floor it at their largest |beta_mu| or |kappa_r| instead of 1), and
+a claim that the bracket vanishes is the empty form.  So only the gate
+depends on the truncation.
 
 ``FAMILIES`` is the one place where a check family is declared: the suite
 that runs it, its id prefix and index letters, its tolerance, its check
@@ -38,8 +39,6 @@ from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
-import numpy as np
-
 from . import expr as ex
 from .errors import EmptyWindow, IndexOutOfRealization, NotFinite, WrongLambda
 from .fock import (
@@ -56,14 +55,12 @@ from .normal_order import (
     beta_closed_form,
     beta_tower_raw,
     f_kpoly,
-    kpoly_left_mul,
     kpoly_left_sum,
     kpoly_mul,
     left_read,
     nf_add,
     nf_mul,
     nf_monomial,
-    nf_scale,
     nf_sub,
     nf_to_matrix,
     nf_zero,
@@ -191,10 +188,10 @@ class _Dual:
         return _residual(self.nf, published)
 
 
-def _residual(nf: NormalForm, published: NormalForm | None) -> float:
+def _residual(nf: NormalForm, published: NormalForm | None, floor: float = 1.0) -> float:
     """Coefficient residual of a normal form against a published one.
 
-    max_k |nf_k - pub_k| / max(1, max_k |nf_k|) over the basis monomials k;
+    max_k |nf_k - pub_k| / max(floor, max_k |nf_k|) over the basis monomials k;
     None is the empty form, a claim that the word vanishes.  NaN when a
     coefficient is not finite, tested before `abs` as `_pruned` does.
     """
@@ -203,7 +200,7 @@ def _residual(nf: NormalForm, published: NormalForm | None) -> float:
     diff = [own.get(k, 0j) - pub.get(k, 0j) for k in own.keys() | pub.keys()]
     if not all(map(cmath.isfinite, [*diff, *own.values()])):
         return math.nan
-    return max(map(abs, diff), default=0.0) / max([1.0, *map(abs, own.values())])
+    return max(map(abs, diff), default=0.0) / max([floor, *map(abs, own.values())])
 
 
 def _c2(value: complex):
@@ -215,13 +212,13 @@ def _ktable(poly, prefix: str, start: int = 0) -> dict:
     return {f"{prefix}{r}": _c2(poly[r]) for r in range(start, len(poly))}
 
 
-def _kpoly(params: AlgebraParams, c0, term) -> np.ndarray:
-    """The K-polynomial [c0, term(kappa_1, 1), ..., term(kappa_{lam-1}, lam-1)].
+def _kpoly(params: AlgebraParams, c0, term) -> tuple:
+    """The K-polynomial (c0, term(kappa_1, 1), ..., term(kappa_{lam-1}, lam-1)).
 
     `term` gets kappa_r so that each printed product keeps its operand order.
     """
-    rest = [term(params.kappa[r - 1], r) for r in range(1, params.lam)]
-    return np.array([c0, *rest], dtype=complex)
+    rest = (term(params.kappa[r - 1], r) for r in range(1, params.lam))
+    return (complex(c0), *rest)
 
 
 def _mono_expr(s: int, m: int) -> ex.OperatorExpr:
@@ -265,12 +262,16 @@ def check_basic(params: AlgebraParams, dim: int) -> list:
     lam = params.lam
     x = params.root
     checks = []
+    # the relations expand over beta_mu P_mu and kappa_r K^r, whose terms cancel
+    # to round-off of their own size
+    floor = max([1.0, *map(abs, params.beta), *map(abs, params.kappa)])
 
     def add(check_id, pairs):
         """pairs: list of (lhs_expr, rhs_expr or None) whose difference must vanish.
 
         The gate is the difference's; the residual grades the left side's
-        normal form against the right side's, so it scales with the relation.
+        normal form against the right side's, floored at the size of the
+        parameters the relations expand over.
         """
         worst_paper = 0.0
         worst_gate = 0.0
@@ -278,7 +279,7 @@ def check_basic(params: AlgebraParams, dim: int) -> list:
         for lhs, rhs in pairs:
             d = _Dual(rep, lhs if rhs is None else ex.summed(lhs, ex.negated(rhs)))
             published = None if rhs is None else normal_form(rhs, params)
-            worst_paper = max(worst_paper, _residual(normal_form(lhs, params), published))
+            worst_paper = max(worst_paper, _residual(normal_form(lhs, params), published, floor))
             worst_gate = max(worst_gate, d.gate)
             windows.append(d.window)
         checks.append(_verdict(check_id, min(windows, key=lambda w: w.hi), worst_gate, worst_paper))
@@ -356,9 +357,8 @@ def check_single_mode(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
 
     residuals = {}
     for variant in F_CANDIDATES:
-        poly = f_kpoly(params, m, variant).vec
-        poly[0] = m
-        residuals[variant] = d.against(kpoly_left_mul(poly, m - 1, 0, lam))
+        poly = (m, *f_kpoly(params, m, variant)[1:])
+        residuals[variant] = d.against(kpoly_left_sum([(poly, m - 1, 0)], lam))
 
     winner = next((v for v in F_CANDIDATES if residuals[v] < TOL["single"]), "none")
     if not params.is_deformed:
@@ -402,10 +402,10 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
         for alpha in range(n):
             # one bracket (m + F x^alpha); x^alpha is a scalar power
             phase = root_power(lam, alpha)
-            pref = _kpoly(params, m, lambda _, r: prefactor.vec[r] * phase)
+            pref = _kpoly(params, m, lambda _, r: prefactor[r] * phase)
             for l in range(min(alpha + 1, m)):
                 combined = kpoly_mul(pref, betas[l])
-                rhs = nf_add(rhs, kpoly_left_mul(combined, m - l - 1, n - l - 1, lam))
+                rhs = nf_add(rhs, kpoly_left_sum([(combined, m - l - 1, n - l - 1)], lam))
         return rhs
 
     res_oracle = d.against(assemble(tower.coeffs))
@@ -428,17 +428,25 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
 # deformed ladder (Virasoro-type) relations
 
 
+def _closes_on(d: _Dual, check_id: str, rows, fit) -> IdentityCheck:
+    """`d` graded against sum_rows poly (a+)^p a^q, each K-polynomial on the left of its monomial.
+
+    The rows (poly, p, q) have distinct grades.  `fit` gets the K-polynomials
+    that `d`'s normal form carries on those grades, read on the left, and
+    returns the fitted table.
+    """
+    fitted = fit(*(left_read(d.nf, p, q) for _, p, q in rows))
+    return _verdict(check_id, d.window, d.gate, d.against(kpoly_left_sum(rows, d.nf.lam)),
+                    fitted=fitted)
+
+
 def _ladder(params: AlgebraParams, dim: int, check_id: str, m: int, n: int, poly) -> IdentityCheck:
     """[l_m, l_n] against sigma (sum_r poly[r] K^r) l_{m+n}, the K-polynomial on the left."""
-    rep = _rep(params, dim)
-    lam = params.lam
-    sigma = virasoro_sign(lam)
-    d = _Dual(rep, ex.Commutator(_ell_expr(m), _ell_expr(n)))
-    rhs_nf = nf_scale(kpoly_left_mul(poly, m + n + 1, 1, lam), sigma)
-    res_paper = d.against(rhs_nf)
-    lead_poly = left_read(d.nf, m + n + 1, 1)
-    fitted = {"sigma": sigma, "lead": _c2(lead_poly[0]), **_ktable(lead_poly, "K", 1)}
-    return _verdict(check_id, d.window, d.gate, res_paper, fitted=fitted)
+    sigma = virasoro_sign(params.lam)
+    d = _Dual(_rep(params, dim), ex.Commutator(_ell_expr(m), _ell_expr(n)))
+    rows = [(tuple(c * sigma for c in poly), m + n + 1, 1)]
+    return _closes_on(d, check_id, rows, lambda lead: {
+        "sigma": sigma, "lead": _c2(lead[0]), **_ktable(lead, "K", 1)})
 
 
 def check_virasoro(params: AlgebraParams, dim: int, m: int, n: int) -> IdentityCheck:
@@ -529,18 +537,17 @@ def _xi_side(params: AlgebraParams, s: int, m: int, t: int):
     Term l (0 <= l <= m-1) is (m - l) (t + F x^{l+s}) beta_l^{[s]} with the
     tower taken from the product of m lowering factors against t raising
     factors, and the bracketed-power substitution x^j -> x^{js} applied to
-    the printed beta formulas.  Returns a read-only (m x lam) array, one
-    K-polynomial a row, built once per argument and shared by every check.
+    the printed beta formulas.  Returns m K-polynomials, one per level, built
+    once per argument and shared by every check.
     """
     F = f_kpoly(params, t + 1, "paper")
-    out = np.zeros((m, params.lam), dtype=complex)
+    out = []
     for l in range(m):
         phase = root_power(params.lam, l + s)
-        pref = _kpoly(params, t, lambda _, r: F.vec[r] * phase)
+        pref = _kpoly(params, t, lambda _, r: F[r] * phase)
         beta = beta_closed_form(m, t + 1, l, params, subst=s)
-        out[l] = (m - l) * kpoly_mul(pref, beta)
-    out.setflags(write=False)
-    return out
+        out.append(tuple((m - l) * c for c in kpoly_mul(pref, beta)))
+    return tuple(out)
 
 
 def check_winf(params: AlgebraParams, dim: int) -> list:
@@ -549,12 +556,12 @@ def check_winf(params: AlgebraParams, dim: int) -> list:
     One call grades the whole grid, sorted by id.  Each oracle evaluates the
     16 monomials once, and each unordered pair x <= y of them is one `_Dual`
     of [w_x, w_y] = XY - YX, as `apply_word` and `normal_form` evaluate a
-    `Commutator`.  Its mirror [w_y, w_x] is the exact negation, so it is
-    graded on the same `_Dual` against its own published side negated.  An
-    error in a pair fails both of its entries, and one in a published side
-    fails that entry alone; a window the truncation leaves empty, or a gate
-    that is not finite, raises EmptyWindow or NotFinite naming the first such
-    bracket, which `run_suite` does not grade.
+    `Commutator`, graded once.  Its mirror [w_y, w_x] is the exact IEEE
+    negation on both sides (normal form and published side), so it is the
+    same entry under its own id, and an error in a pair fails both of its
+    entries.  A window the truncation leaves empty, or a gate that is not
+    finite, raises EmptyWindow or NotFinite naming the first such bracket,
+    which `run_suite` does not grade.
     """
     rep = _rep(params, dim)
     lam = params.lam
@@ -580,42 +587,36 @@ def check_winf(params: AlgebraParams, dim: int) -> list:
         return _Dual.of_parts(rep, xy_mat - yx_mat, nf_sub(xy_nf, yx_nf), window)
 
     def graded(d: _Dual, x: int, y: int) -> IdentityCheck:
-        """[w_x, w_y] graded on `d`, the `_Dual` of the pair; with x > y, a mirror."""
+        """[w_x, w_y] graded on `d`, its `_Dual`, against Xi^(s,m) - Xi^(t,n) level by level."""
         (s, m), (t, n) = monomials[x], monomials[y]
         grade = (s - m) + (t - n)
         on_ladder = all(p - q == grade for (p, q) in d.nf.support())
 
-        polys = np.zeros((max(m, n), lam), dtype=complex)
-        polys[:m] += _xi_side(params, s, m, t)
-        polys[:n] -= _xi_side(params, t, n, s)
+        zero = (0j,) * lam
+        left, right = _xi_side(params, s, m, t), _xi_side(params, t, n, s)
         rows, dropped = [], 0
-        for l, poly in enumerate(polys):
+        for l in range(max(m, n)):
+            poly = [a - b for a, b in zip(left[l] if l < m else zero, right[l] if l < n else zero)]
             p, q = s + t - l - 1, m + n - l - 1
             if p >= 0 and q >= 0:
                 rows.append((poly, p, q))
-            elif np.any(np.abs(poly) > 1e-13):
+            elif any(abs(c) > 1e-13 for c in poly):
                 dropped += 1
-        rhs = kpoly_left_sum(rows, lam)
-        # a mirror's residual is |(-M) - P| = |M + P| bit for bit: IEEE negation is exact
-        res_paper = d.against(nf_scale(rhs, -1.0) if x > y else rhs)
+        res_paper = d.against(kpoly_left_sum(rows, lam))
         fitted = {"on_ladder": bool(on_ladder), "dropped_terms": dropped}
         return _verdict(label(x, y), d.window, d.gate, res_paper, fitted=fitted, ok=on_ladder)
 
     checks = []
     for x, y in combinations_with_replacement(range(16), 2):
-        brackets = [(x, y)] if x == y else [(x, y), (y, x)]
         try:
-            d = dual(x, y)
+            entry = graded(dual(x, y), x, y)
         except NotFinite as err:
             raise NotFinite(f"{label(x, y)}: {err}") from err
         except Exception as err:  # noqa: BLE001 - this pair fails, the others are graded
-            checks += [_failed(label(u, v), err) for u, v in brackets]
-            continue
-        for u, v in brackets:
-            try:
-                checks.append(graded(d, u, v))
-            except Exception as err:  # noqa: BLE001 - this entry fails, the others are graded
-                checks.append(_failed(label(u, v), err))
+            entry = _failed(label(x, y), err)
+        checks.append(entry)
+        if x != y:
+            checks.append(replace(entry, id=label(y, x), fitted=dict(entry.fitted)))
     return sorted(checks, key=lambda c: c.id)
 
 
@@ -640,10 +641,8 @@ def check_sp2(params: AlgebraParams, dim: int) -> list:
 
     def entry(check_id, s1, m1, s2, m2, rhs_poly, target_s, target_m):
         d = _Dual(rep, ex.Commutator(_mono_expr(s1, m1), _mono_expr(s2, m2)))
-        rhs_nf = kpoly_left_mul(rhs_poly, target_s, target_m, lam)
-        res_paper = d.against(rhs_nf)
-        fitted = _ktable(left_read(d.nf, target_s, target_m), "K")
-        checks.append(_verdict(check_id, d.window, d.gate, res_paper, fitted=fitted))
+        rows = [(rhs_poly, target_s, target_m)]
+        checks.append(_closes_on(d, check_id, rows, lambda fit: _ktable(fit, "K")))
 
     # [w^0_1, w^1_1] claimed [sum kappa_r K^r (1 - x) + 1] w^0_1
     poly = _kpoly(params, 1.0, lambda k, r: k * (1.0 - x))
@@ -687,9 +686,9 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
     bracket_a = _kpoly(params, -1.0, lambda k, r: k * (xs(r) + xs(2 * r)) * x)
     bracket_b = _kpoly(params, 1.0, lambda k, r: 0.5 * k * (1.0 + xs(r)))
     poly11 = kpoly_mul(bracket_a, bracket_b, 1.0 - x)
-    rhs_nf = nf_add(kpoly_left_mul(poly22, 2, 2, lam), kpoly_left_mul(poly11, 1, 1, lam))
-    fitted = {**_ktable(left_read(b.nf, 2, 2), "w22_K"), **_ktable(left_read(b.nf, 1, 1), "w11_K")}
-    return [_verdict("casimir.bracket", b.window, b.gate, b.against(rhs_nf), fitted=fitted)]
+    rows = [(poly22, 2, 2), (poly11, 1, 1)]
+    return [_closes_on(b, "casimir.bracket", rows, lambda w22, w11: {
+        **_ktable(w22, "w22_K"), **_ktable(w11, "w11_K")})]
 
 
 # ---------------------------------------------------------------------------

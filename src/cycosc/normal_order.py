@@ -138,8 +138,8 @@ def nf_mul(x: NormalForm, y: NormalForm, params: AlgebraParams) -> NormalForm:
     return _mul(x, y, params.lam, params.kappa)
 
 
-def _mul(x: NormalForm, y: NormalForm, lam: int, kappa: tuple | None) -> NormalForm:
-    """`nf_mul` over (lam, kappa) without the order check; kappa None where none is read."""
+def _mul(x: NormalForm, y: NormalForm, lam: int, kappa: tuple) -> NormalForm:
+    """`nf_mul` over (lam, kappa) without the order check."""
     xs = root_table(lam)
     out = {}
     for (p1, q1, r1), c1 in x.terms.items():
@@ -161,21 +161,6 @@ def nf_power(x: NormalForm, n: int, params: AlgebraParams) -> NormalForm:
 
 
 _GENERATORS = {"a": (0, 1, 0), "ad": (1, 0, 0), "K": (0, 0, 1)}  # kind -> (p, q, r)
-
-
-@lru_cache(maxsize=1024)
-def _generator_power(lam: int, kind: str, n: int) -> tuple:
-    """Terms of a, a+ or K to the n-th power, multiplied out as `nf_power` does.
-
-    A power of one generator never moves an a past an a+, so none of its
-    products reads kappa: they run with kappa None, where a read would raise,
-    and one entry serves every parameter set of order lam.
-    """
-    x = nf_monomial(lam, *_GENERATORS[kind])
-    acc = nf_monomial(lam, 0, 0, 0)
-    for _ in range(n):
-        acc = _mul(acc, x, lam, None)
-    return tuple(acc.terms.items())
 
 
 def nf_adjoint(x: NormalForm, params: AlgebraParams) -> NormalForm:
@@ -267,8 +252,10 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
                 acc = nf_mul(acc, normal_form(f, params), params)
             return acc
         case ex.Power(ex.Atom(kind), exponent) if kind in _GENERATORS:
-            # a fresh dict: callers may edit a form's terms
-            return NormalForm(lam, dict(_generator_power(lam, kind, exponent)))
+            # a power of one generator moves no a past an a+ and no K past either:
+            # every product of the chain has coefficient exactly 1
+            p, q, r = _GENERATORS[kind]
+            return nf_monomial(lam, exponent * p, exponent * q, exponent * r)
         case ex.Power(base, exponent):
             return nf_power(normal_form(base, params), exponent, params)
         case ex.Commutator(left, right):
@@ -300,7 +287,7 @@ def kpoly_left_sum(rows, lam: int) -> NormalForm:
     xs = root_table(lam)
     terms = {}
     for poly, p, q in rows:
-        for r, c in enumerate(np.asarray(poly).tolist()):
+        for r, c in enumerate(poly):
             if cmath.isfinite(c) and abs(c) < PRUNE_TOL:
                 continue
             term = complex(c) * xs[r * (q - p) % lam]
@@ -309,32 +296,29 @@ def kpoly_left_sum(rows, lam: int) -> NormalForm:
     return NormalForm(lam, terms)
 
 
-def kpoly_mul(x, y, scale=1.0) -> np.ndarray:
-    """Product of two K-polynomial vectors modulo K^lam = 1, times `scale`.
+def kpoly_mul(x, y, scale=1.0) -> tuple:
+    """Product of two K-polynomials modulo K^lam = 1, times `scale`.
 
     The scalar multiplies each pair product before it is summed, which keeps
     the rounding of a right side printed as a sum of such triple products.
     """
     lam = len(x)
     out = [0j] * lam
-    ys = list(enumerate(np.asarray(y).tolist()))
-    for r1, c1 in enumerate(np.asarray(x).tolist()):
+    for r1, c1 in enumerate(x):
         if c1 == 0:
             continue
-        for r2, c2 in ys:
+        for r2, c2 in enumerate(y):
             if c2 == 0:
                 continue
             out[(r1 + r2) % lam] += c1 * c2 * scale
-    return np.array(out, dtype=complex)
+    return tuple(out)
 
 
-def left_read(nf: NormalForm, p: int, q: int) -> np.ndarray:
+def left_read(nf: NormalForm, p: int, q: int) -> tuple:
     """Left-positioned K-polynomial multiplying (a+)^p a^q inside `nf`."""
     lam = nf.lam
     xs = root_table(lam)
-    return np.array(
-        [nf.coefficient(p, q, r) * xs[r * (p - q) % lam] for r in range(lam)], dtype=complex
-    )
+    return tuple(nf.coefficient(p, q, r) * xs[r * (p - q) % lam] for r in range(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +341,13 @@ def geometric_f(r: int, m: int, lam: int, sign: int = 1) -> complex:
 class BetaTower:
     """Reordering coefficients of a^n (a+)^{m-1}.
 
-    coeffs[l] is the K-polynomial (length lam, left-positioned) multiplying
-    (a+)^{m-1-l} a^{n-l}; coeffs[0] is exactly 1.
+    coeffs[l] is the K-polynomial (lam complex numbers, left-positioned)
+    multiplying (a+)^{m-1-l} a^{n-l}; coeffs[0] is exactly 1.
     """
 
     n: int
     m: int
-    coeffs: tuple  # tuple of length-lam complex ndarrays
+    coeffs: tuple  # one lam-tuple of complex numbers per l
 
 
 def beta_tower_raw(n: int, m: int, params: AlgebraParams) -> BetaTower:
@@ -378,7 +362,7 @@ def beta_tower_raw(n: int, m: int, params: AlgebraParams) -> BetaTower:
     for l in range(n + 1):
         p, q = m - 1 - l, n - l
         if p < 0 or q < 0:
-            coeffs.append(np.zeros(lam, dtype=complex))
+            coeffs.append((0j,) * lam)
         else:
             coeffs.append(left_read(nf, p, q))
     return BetaTower(n=n, m=m, coeffs=tuple(coeffs))
@@ -399,28 +383,18 @@ def beta_oracle(n: int, m: int, params: AlgebraParams) -> BetaTower:
 # every explicit x^j inside a beta formula becomes x^{j*subst}.
 
 
-class _KPoly:
-    """Tiny helper ring: polynomials in K modulo K^lam = 1."""
+class _KPoly(tuple):
+    """A polynomial in K modulo K^lam = 1, as its lam coefficients, with `+` and `*`."""
 
-    __slots__ = ("lam", "vec")
-
-    def __init__(self, lam, vec=None):
-        self.lam = lam
-        self.vec = np.zeros(lam, dtype=complex) if vec is None else vec
-
-    @classmethod
-    def scalar(cls, lam, c):
-        out = cls(lam)
-        out.vec[0] = c
-        return out
+    __slots__ = ()
 
     def __add__(self, other):
-        return _KPoly(self.lam, self.vec + other.vec)
+        return _KPoly(a + b for a, b in zip(self, other))
 
     def __mul__(self, other):
-        if isinstance(other, _KPoly):
-            return _KPoly(self.lam, kpoly_mul(self.vec, other.vec))
-        return _KPoly(self.lam, self.vec * other)
+        if isinstance(other, tuple):
+            return _KPoly(kpoly_mul(self, other))
+        return _KPoly(c * other for c in self)
 
     __rmul__ = __mul__
 
@@ -440,19 +414,12 @@ def f_coefficient(r: int, m: int, lam: int, variant: str) -> complex:
     raise ValueError(f"unknown f variant {variant!r}")
 
 
-def f_kpoly(params: AlgebraParams, m: int, variant: str) -> _KPoly:
-    """F = sum_r f_r kappa_r K^r as a K-polynomial with a fresh vector of its own."""
-    return _KPoly(params.lam, _f_vec(params, m, variant).copy())
-
-
 @lru_cache(maxsize=256)
-def _f_vec(params: AlgebraParams, m: int, variant: str) -> np.ndarray:
-    """The read-only coefficient vector of `f_kpoly`, built once per argument."""
-    vec = np.zeros(params.lam, dtype=complex)
-    for r in range(1, params.lam):
-        vec[r] = f_coefficient(r, m, params.lam, variant) * params.kappa[r - 1]
-    vec.setflags(write=False)
-    return vec
+def f_kpoly(params: AlgebraParams, m: int, variant: str) -> tuple:
+    """F = sum_r f_r kappa_r K^r as a K-polynomial, built once per argument."""
+    rest = (f_coefficient(r, m, params.lam, variant) * params.kappa[r - 1]
+            for r in range(1, params.lam))
+    return (0j, *rest)
 
 
 def beta_closed_form(
@@ -461,10 +428,10 @@ def beta_closed_form(
     l: int,
     params: AlgebraParams,
     subst: int = 1,
-) -> np.ndarray:
+) -> tuple:
     """Literal evaluation of the printed tower coefficient beta_l.
 
-    Returns the left-positioned K-polynomial as a length-lam vector.  The
+    Returns the left-positioned K-polynomial as lam complex numbers.  The
     printed cases, read as formulas in general n with empty ranges collapsing
     to ring identities, cover every 0 <= l <= n; a fresh combination falling
     outside them raises FormulaGap.  Raises BadRange for l outside [0, n].
@@ -472,13 +439,13 @@ def beta_closed_form(
     if not (0 <= l <= n):
         raise BadRange(f"need 0 <= l <= n, got l={l}, n={n}")
     lam = params.lam
-    F = f_kpoly(params, m, "paper")
+    F = _KPoly(f_kpoly(params, m, "paper"))
 
     def xs(j: int) -> complex:
         return root_power(lam, j * subst)
 
     def sc(c) -> _KPoly:
-        return _KPoly.scalar(lam, complex(c))
+        return _KPoly((complex(c), *(0j,) * (lam - 1)))
 
     def factor(i: int, e: int) -> _KPoly:
         # one bracket ((m - i) + F x^e)
@@ -491,7 +458,7 @@ def beta_closed_form(
         return acc
 
     def fsum(j0: int, j1: int) -> _KPoly:
-        acc = _KPoly(lam)
+        acc = _KPoly((0j,) * lam)
         for j in range(j0, j1 + 1):
             acc = acc + xs(j) * F
         return acc
@@ -560,4 +527,4 @@ def beta_closed_form(
         )
     else:
         raise FormulaGap(f"no printed case covers l={l} at n={n}")
-    return poly.vec.copy()
+    return tuple(poly)

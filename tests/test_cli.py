@@ -224,6 +224,18 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("suite", ["", "basic,,", ","])
+def test_verify_refuses_an_empty_suite_name(tmp_path, capsys, suite):
+    """An empty name is refused like any unknown one; only a missing --suite means all."""
+    out_file = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--lambda", "2", "--dim", "16", "--suite", suite,
+                         "--out", str(out_file))
+    assert code == 2
+    assert err == "error: unknown suites: ['']\n"
+    assert out == ""
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -4,11 +4,13 @@ the grid's largest dim (lambda 5, dim 128).
 
 A refactor that keeps the arithmetic must leave these files unchanged.  A
 change that moves any number in a report has to update the pinned hash and
-list its residual deltas in CHANGES.md.  Byte identity holds only on one
-machine with one numpy build: numpy's array complex multiply may run SIMD
-code that rounds differently from its scalar multiply, so moving a product
-between array and scalar form is an arithmetic change and must list its
-residual deltas too.
+list its residual deltas in CHANGES.md.  Published sides are built from
+tuples of Python complex numbers, so their bits do not depend on numpy.  The
+oracle gates do: byte identity holds only on one machine with one numpy
+build, because numpy's array complex multiply may run SIMD code that rounds
+differently from its scalar multiply, so moving a matrix product between
+array and scalar form is an arithmetic change and must list its residual
+deltas too.
 """
 
 import hashlib

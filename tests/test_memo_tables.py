@@ -1,9 +1,8 @@
 """The Z_lambda tables and memos: each value computed once, none shared mutably.
 
-Roots of unity, the geometric sums f_r, the F polynomials, the Xi right sides,
-the normal forms of single-generator powers and the wconst entries are
-memoized.  These tests pin that a memo is hit rather than recomputed, and
-that no caller can change what a later one reads.
+Roots of unity, the geometric sums f_r, the F polynomials, the Xi right sides
+and the wconst entries are memoized.  These tests pin that a memo is hit
+rather than recomputed, and that no caller can change what a later one reads.
 """
 
 import json
@@ -79,12 +78,8 @@ def test_reports_do_not_depend_on_what_ran_before():
 def test_shared_values_are_read_only_or_fresh():
     p = validate_alpha(3, (0.2, -0.3, 0.1))
     xi = identities._xi_side(p, 2, 3, 1)
-    assert not xi.flags.writeable
-    with pytest.raises(ValueError):
-        xi[0, 0] = 1.0
-
-    f_kpoly(p, 3, "paper").vec[0] = 99.0
-    assert f_kpoly(p, 3, "paper").vec[0] == 0.0
+    assert type(xi) is tuple and all(type(row) is tuple for row in xi)
+    assert type(f_kpoly(p, 3, "paper")) is tuple
 
     check_wconst()[0].fitted.clear()
     assert check_wconst()[0].fitted
@@ -115,7 +110,7 @@ def _bits(form) -> list:
 
 
 def test_generator_powers_do_not_depend_on_kappa():
-    """A power of a, a+ or K is the product chain that reads kappa, for every kappa."""
+    """A power of a, a+ or K is the product chain that reads kappa, for every kappa, bit for bit."""
     for lam, alphas in ALPHAS.items():
         sets = [validate_alpha(lam, alpha) for alpha in [*alphas, (0.0,) * lam]]
         for kind in ("a", "ad", "K"):
@@ -124,14 +119,3 @@ def test_generator_powers_do_not_depend_on_kappa():
                 for p in sets:
                     chained = normal_order.nf_power(normal_form(ex.Atom(kind), p), n, p)
                     assert _bits(normal_form(power, p)) == _bits(chained), (lam, kind, n, p.kappa)
-
-
-def test_a_sweep_of_parameter_sets_reuses_the_generator_powers():
-    _clear_all()
-    memo = normal_order._generator_power
-    run_suite(validate_alpha(3, ALPHAS[3][0]), 13)
-    filled = memo.cache_info()
-    for alpha in (ALPHAS[3][1], (0.1, 0.05, -0.15), (-0.2, 0.3, -0.1)):
-        run_suite(validate_alpha(3, alpha), 13)
-    assert memo.cache_info().misses == filled.misses
-    assert memo.cache_info().hits > filled.hits

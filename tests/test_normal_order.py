@@ -191,8 +191,8 @@ def test_beta_oracle_real_when_undeformed(params_plain):
     for n, m in [(1, 4), (2, 5), (3, 6)]:
         tower = beta_oracle(n, m, params_plain)
         for poly in tower.coeffs:
-            assert np.max(np.abs(poly.imag)) < 1e-12
-            assert np.max(np.abs(poly[1:])) < 1e-12  # no Klein admixture
+            assert max(abs(c.imag) for c in poly) < 1e-12
+            assert max(map(abs, poly[1:])) < 1e-12  # no Klein admixture
 
 
 def test_beta_oracle_range_guard(params_l2):
@@ -222,23 +222,40 @@ def test_closed_form_matches_oracle_undeformed_edges():
                 if l not in (0, 1, 2, 3, n - 1, n):
                     continue
                 closed = beta_closed_form(n, m, l, params)
-                assert np.max(np.abs(closed - tower.coeffs[l])) < 1e-9, (n, m, l)
+                assert max(map(abs, np.subtract(closed, tower.coeffs[l]))) < 1e-9, (n, m, l)
 
 
 def test_closed_form_deformed_comparison_is_recorded_shape(params_l2):
     # deformed closed forms evaluate without error across the printed cases
     for n in range(1, 7):
         for l in range(n + 1):
-            vec = beta_closed_form(n, n + 3, l, params_l2)
-            assert vec.shape == (2,)
+            poly = beta_closed_form(n, n + 3, l, params_l2)
+            assert type(poly) is tuple and len(poly) == 2
 
 
 def test_kpoly_mul_is_cyclic():
-    x = np.array([1.0, 2.0, 0.0], dtype=complex)
-    y = np.array([0.0, 0.5j, 3.0], dtype=complex)
+    x = (1.0 + 0j, 2.0 + 0j, 0j)
+    y = (0j, 0.5j, 3.0 + 0j)
     # (1 + 2K)(0.5i K + 3K^2) = 0.5i K + (3 + 1i) K^2 + 6 K^3, and K^3 = 1
-    assert np.allclose(kpoly_mul(x, y), [6.0, 0.5j, 3.0 + 1.0j])
-    assert np.allclose(kpoly_mul(x, y, -2.0), -2.0 * kpoly_mul(x, y))
+    assert kpoly_mul(x, y) == (6.0, 0.5j, 3.0 + 1.0j)
+    assert kpoly_mul(x, y, -2.0) == tuple(-2.0 * c for c in kpoly_mul(x, y))
+
+
+@pytest.mark.parametrize("kind, grade", [("a", (0, 1, 0)), ("ad", (1, 0, 0)), ("K", (0, 0, 1))])
+def test_a_huge_generator_power_is_one_monomial_without_products(monkeypatch, kind, grade):
+    """a^n, (a+)^n and K^n are the monomial of n times the generator's grade, coefficient 1."""
+    from cycosc import normal_order
+
+    def no_product(*args):
+        raise AssertionError("a power of one generator multiplied out")
+
+    monkeypatch.setattr(normal_order, "_mul", no_product)
+    n = 100_000_000
+    for lam in (2, 3, 7):
+        params = validate_alpha(lam, (0.0,) * lam)
+        nf = normal_form(parse(f"{kind}^{n}"), params)
+        p, q, r = (n * g for g in grade)
+        assert list(nf.terms.items()) == [((p, q, r % lam), 1.0 + 0.0j)]
 
 
 def test_rewrite_memo_is_bounded():
@@ -250,7 +267,6 @@ def test_rewrite_memo_is_bounded():
         normal_form(word, validate_alpha(2, (shift, -shift)))
     assert normal_order._reorder_core.cache_info().currsize <= 1024
     assert normal_order._a_times_adpow.cache_info().currsize <= 1024
-    assert normal_order._generator_power.cache_info().currsize <= 1024
 
     # every memo in the package is bounded, and every one in the source is seen here
     caches = lru_caches()
@@ -317,10 +333,10 @@ def test_nf_to_matrix_equals_the_sorted_term_sum_bit_for_bit(lam, rng):
 def _kpoly_mul_scalar(x, y, scale=1.0):
     """kpoly_mul over numpy scalars."""
     out = np.zeros(len(x), dtype=complex)
-    for r1, c1 in enumerate(x):
+    for r1, c1 in enumerate(np.asarray(x)):
         if c1 == 0:
             continue
-        for r2, c2 in enumerate(y):
+        for r2, c2 in enumerate(np.asarray(y)):
             if c2 == 0:
                 continue
             out[(r1 + r2) % len(x)] += c1 * c2 * scale
@@ -330,7 +346,7 @@ def _kpoly_mul_scalar(x, y, scale=1.0):
 def _kpoly_left_mul_scalar(poly, p, q, lam):
     """kpoly_left_mul over numpy scalars."""
     terms = {}
-    for r, c in enumerate(poly):
+    for r, c in enumerate(np.asarray(poly, dtype=complex)):
         if abs(c) < PRUNE_TOL:
             continue
         terms[(p, q, r % lam)] = complex(c) * root_power(lam, r * (q - p))
@@ -349,7 +365,7 @@ def _random_kpoly(rng, lam):
     vec = (rng.normal(size=lam) + 1j * rng.normal(size=lam)) * 10.0 ** rng.uniform(-4, 4, lam)
     vec[rng.random(lam) < 0.25] = 0.0
     vec[rng.random(lam) < 0.1] = 1e-15
-    return vec
+    return tuple(vec.tolist())
 
 
 @pytest.mark.parametrize("lam", range(2, 9))
@@ -357,8 +373,8 @@ def test_kpoly_loops_equal_their_numpy_scalar_forms_bit_for_bit(lam, rng):
     for _ in range(200):
         x, y = _random_kpoly(rng, lam), _random_kpoly(rng, lam)
         for scale in (1.0, float(rng.normal()), complex(*rng.normal(size=2))):
-            assert kpoly_mul(x, y, scale).tobytes() == _kpoly_mul_scalar(x, y, scale).tobytes()
-        assert kpoly_mul(x, y).tobytes() == _kpoly_mul_scalar(x, y).tobytes()
+            assert _bits(kpoly_mul(x, y, scale)) == _kpoly_mul_scalar(x, y, scale).tobytes()
+        assert _bits(kpoly_mul(x, y)) == _kpoly_mul_scalar(x, y).tobytes()
 
         p, q = (int(v) for v in rng.integers(0, 6, size=2))
         for poly in (x, [int(v) for v in rng.integers(-3, 4, size=lam)]):
@@ -368,4 +384,4 @@ def test_kpoly_loops_equal_their_numpy_scalar_forms_bit_for_bit(lam, rng):
 
         nf = NormalForm(lam, {(p, q, r): complex(c) for r, c in enumerate(x) if c != 0})
         for grade in ((p, q), (p + 1, q)):
-            assert left_read(nf, *grade).tobytes() == _left_read_scalar(nf, *grade).tobytes()
+            assert _bits(left_read(nf, *grade)) == _left_read_scalar(nf, *grade).tobytes()

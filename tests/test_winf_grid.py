@@ -1,11 +1,11 @@
 """The winf grid graded in one call equals the per-bracket grading, bit for bit.
 
-`check_winf` evaluates each monomial and each ordered product once, builds one
-`_Dual` per unordered pair of monomials, and grades a pair's mirror on the
-same `_Dual` against its own published side negated.  The reference below is
-the per-bracket grading it replaced: one `_Dual` of the `Commutator` for every
-ordered pair, mirrors included, and the Xi right side summed row by row with
-`nf_add`.
+`check_winf` evaluates each monomial and each ordered product once, builds and
+grades one `_Dual` per unordered pair of monomials, and emits the pair's
+mirror as the same entry under its own id.  The reference below is the
+per-bracket grading it replaced: one `_Dual` of the `Commutator` for every
+ordered pair, mirrors included, its own Xi right side summed in numpy arrays
+and row by row with `nf_add`.
 """
 
 import math
@@ -37,8 +37,8 @@ def _reference(params, dim, s, m, t, n):
     grade = (s - m) + (t - n)
     on_ladder = all(p - q == grade for (p, q) in d.nf.support())
     polys = np.zeros((max(m, n), lam), dtype=complex)
-    polys[:m] += _xi_side(params, s, m, t)
-    polys[:n] -= _xi_side(params, t, n, s)
+    polys[:m] += np.array(_xi_side(params, s, m, t), dtype=complex).reshape(m, lam)
+    polys[:n] -= np.array(_xi_side(params, t, n, s), dtype=complex).reshape(n, lam)
     rhs_nf = nf_zero(lam)
     dropped = 0
     for l, poly in enumerate(polys):
@@ -47,7 +47,7 @@ def _reference(params, dim, s, m, t, n):
             if np.any(np.abs(poly) > 1e-13):
                 dropped += 1
             continue
-        rhs_nf = nf_add(rhs_nf, kpoly_left_mul(poly, p, q, lam))
+        rhs_nf = nf_add(rhs_nf, kpoly_left_mul(tuple(poly.tolist()), p, q, lam))
     fitted = {"on_ladder": bool(on_ladder), "dropped_terms": dropped}
     return _verdict(f"winf.s{s}.m{m}.t{t}.n{n}", d.window, d.gate, d.against(rhs_nf),
                     fitted=fitted, ok=on_ladder)
@@ -167,3 +167,13 @@ def test_winf_is_one_call_per_parameter_set(monkeypatch):
     assert calls == [(params, 13)]
     assert sum(c["id"].startswith("winf.") for c in report["checks"]) == 256
     assert all(math.isfinite(c["residual_best"]) for c in report["checks"])
+
+
+def test_each_unordered_pair_builds_one_published_side(monkeypatch):
+    """16 * 17 / 2 = 136 published sides for the 256 entries: a mirror reuses its pair's."""
+    params = validate_alpha(3, _alpha(3))
+    built = []
+    real = identities.kpoly_left_sum
+    monkeypatch.setattr(identities, "kpoly_left_sum", lambda *args: built.append(1) or real(*args))
+    assert len(check_winf(params, 16)) == 256
+    assert len(built) == 136
