@@ -21,8 +21,6 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
-import numpy as np
-
 from . import __version__
 from .errors import CycoscError, NotFinite
 from .expr import parse
@@ -254,9 +252,8 @@ def cmd_verify(args) -> int:
     params = _resolve_params(args, cfg)
     dim = _resolve_dim(args, cfg)
     suites = ("all",) if args.suite is None else tuple(args.suite.split(","))
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by NotFinite
-        report = run_suite(params, dim, suites,
-                           phi_reading=args.phi_reading, n_reading=args.N_reading)
+    report = run_suite(params, dim, suites,
+                       phi_reading=args.phi_reading, n_reading=args.N_reading)
     report["config"]["strict_paper"] = bool(args.strict_paper)
     payload = _json(report)
     if args.out:

@@ -16,17 +16,20 @@ W creation factors is evaluated without truncation error on columns
 n <= D - 1 - W (the "safe window").
 
 Every generator is a single diagonal of the matrix, so the realization is
-stored by diagonals (`Banded`) and words are evaluated one diagonal at a
-time: a product costs O(D) per pair of diagonals, and no matrix is ever
-made dense.
+stored by diagonals (`Banded`), each a tuple of Python complex numbers, and
+words are evaluated one diagonal at a time: a product costs O(D) per pair of
+diagonals, and no matrix is ever made dense.  All of it is Python's own
+arithmetic, so a result depends on IEEE doubles, the C library's
+`exp`/`sqrt`/`hypot` and CPython's complex multiply, and on nothing else.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 from . import expr as ex
 from .errors import (
@@ -38,12 +41,11 @@ from .errors import (
 )
 from .params import AlgebraParams
 
-
-def structure_function(params: AlgebraParams, n):
-    """F(n) = n + beta_{n mod lam} for a level or array of levels; raises NegativeLevel below 0."""
-    if np.any(np.asarray(n) < 0):
-        raise NegativeLevel(f"level {np.min(n)} < 0")
-    return n + np.asarray(params.beta)[n % params.lam]
+def structure_function(params: AlgebraParams, n: int) -> float:
+    """F(n) = n + beta_{n mod lam} for a level n; raises NegativeLevel below 0."""
+    if n < 0:
+        raise NegativeLevel(f"level {n} < 0")
+    return n + params.beta[n % params.lam]
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,16 @@ class SafeWindow:
 
 
 class Banded:
-    """A dim x dim complex matrix stored by diagonals: {offset: vector over columns}.
+    """A dim x dim complex matrix stored by diagonals: {offset: tuple over columns}.
 
     Entry (j + offset, j) is vec[j]; vec[j] is kept at zero where row j + offset
     falls outside the matrix, and no offset reaches dim.  `a` lies on offset -1,
     `a+` on +1 and every other generator on 0, so (a+)^p a^q K^r is the single
-    diagonal p - q.  Instances and their vectors are never changed in place.
+    diagonal p - q.  The diagonals are tuples, so a realization can share them
+    with every word evaluated from it.
     """
 
     __slots__ = ("dim", "bands")
-    __array_ufunc__ = None  # a numpy scalar times a Banded defers to __rmul__
 
     def __init__(self, dim: int, bands: dict):
         self.dim = dim
@@ -76,7 +78,7 @@ class Banded:
 
     @classmethod
     def identity(cls, dim: int) -> Banded:
-        return cls(dim, {0: np.ones(dim, dtype=complex)})
+        return cls(dim, {0: (1 + 0j,) * dim})
 
     def __matmul__(self, other: Banded) -> Banded:
         """One shifted elementwise product per pair of diagonals.
@@ -92,36 +94,40 @@ class Banded:
                 offset = s + t
                 if abs(offset) >= dim:
                     continue
-                prod = np.zeros(dim, dtype=complex)
+                # column j of the product is left[j + s] * right[j], zero where j + s
+                # leaves the matrix: the last s columns, or the first -s
                 if s >= 0:
-                    np.multiply(left[s:], right[: dim - s], out=prod[: dim - s])
+                    prod = (*map(mul, left[s:], right), *repeat(0j, s))
                 else:
-                    np.multiply(left[: dim + s], right[-s:], out=prod[-s:])
-                if offset in out:
-                    out[offset] += prod
-                else:
-                    out[offset] = prod
+                    prod = (*repeat(0j, -s), *map(mul, left, right[-s:]))
+                acc = out.get(offset)
+                out[offset] = prod if acc is None else tuple(map(add, acc, prod))
         return Banded(dim, out)
 
     def __add__(self, other: Banded) -> Banded:
         out = dict(self.bands)
         for offset, vec in other.bands.items():
-            out[offset] = out[offset] + vec if offset in out else vec
+            out[offset] = tuple(map(add, out[offset], vec)) if offset in out else vec
         return Banded(self.dim, out)
 
     def __sub__(self, other: Banded) -> Banded:
         out = dict(self.bands)
         for offset, vec in other.bands.items():
-            out[offset] = out[offset] - vec if offset in out else -vec
+            if offset in out:
+                out[offset] = tuple(map(sub, out[offset], vec))
+            else:
+                out[offset] = tuple(map(neg, vec))
         return Banded(self.dim, out)
 
     def __mul__(self, c) -> Banded:
-        return Banded(self.dim, {offset: c * vec for offset, vec in self.bands.items()})
+        """The scalar product `c * entry` of every entry, c on the left."""
+        scaled = {offset: tuple(map(mul, repeat(c), vec)) for offset, vec in self.bands.items()}
+        return Banded(self.dim, scaled)
 
     __rmul__ = __mul__
 
     def power(self, n: int) -> Banded:
-        """self**n (n >= 0) in the association order of numpy's matrix_power."""
+        """self**n (n >= 0): x x for 2, (x x) x for 3, else squaring from the lowest bit."""
         if n == 0:
             return Banded.identity(self.dim)
         if n == 1:
@@ -142,30 +148,29 @@ class Banded:
         """Largest absolute entry in columns lo..hi; NaN if one is NaN, 0.0 with no bands."""
         peak = 0.0
         for vec in self.bands.values():
-            band = float(np.abs(vec[lo : hi + 1]).max())
-            if band > peak:
-                peak = band
-            elif band != band:  # NaN: no later band may replace it
-                return band
+            window = vec[lo : hi + 1]
+            try:
+                moduli = list(map(abs, window))
+            except OverflowError:  # complex abs past DBL_MAX, or of a NaN with a stale errno
+                moduli = [math.hypot(v.real, v.imag) for v in window]
+            if math.isnan(sum(moduli)):  # `max` passes over a NaN that is not first
+                return math.nan
+            peak = max(peak, *moduli)
         return peak
 
     def entries(self):
         """(row, col, value) of every nonzero entry, in row-major order."""
         return sorted(
-            (int(j) + offset, int(j), vec[j])
+            (j + offset, j, value)
             for offset, vec in self.bands.items()
-            for j in np.flatnonzero(vec)
+            for j, value in enumerate(vec)
+            if value
         )
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, j, value in self.entries():
-            out[i, j] = value
-        return out
 
     @property
     def nbytes(self) -> int:
-        return sum(vec.nbytes for vec in self.bands.values())
+        """Size of the stored entries at 16 bytes each, one C double complex."""
+        return 16 * sum(map(len, self.bands.values()))
 
 
 @dataclass(frozen=True)
@@ -205,12 +210,11 @@ class FockRep:
             self._cache[key] = self.atom_matrix(kind).power(n)
         return self._cache[key]
 
-    def grade_table(self, p: int, q: int) -> np.ndarray | None:
-        """Cached diagonals of (a+)^p a^q K^r for r = 0..lam-1, one row each.
+    def grade_table(self, p: int, q: int) -> tuple | None:
+        """Cached diagonals of (a+)^p a^q K^r for r = 0..lam-1, one tuple each.
 
         Row r is the single diagonal p - q of the product multiplied left to
-        right; None when the product leaves the truncation.  The rows share
-        one read-only (lam, dim) array, the only copy of these diagonals.
+        right; None when the product leaves the truncation.
         """
         key = ("grade", p, q)
         if key not in self._cache:
@@ -218,12 +222,9 @@ class FockRep:
             base = term.bands.get(p - q)
             table = None
             if base is not None:
-                table = np.empty((self.params.lam, self.dim), dtype=complex)
-                table[0] = base
-                for r in range(1, self.params.lam):
-                    # the one product of `term @ K^r`, with its operand order
-                    np.multiply(base, self.matrix_power("K", r).bands[0], out=table[r])
-                table.setflags(write=False)
+                # the one product of `term @ K^r`, with its operand order
+                table = (base, *(tuple(map(mul, base, self.matrix_power("K", r).bands[0]))
+                                 for r in range(1, self.params.lam)))
             self._cache[key] = table
         return self._cache[key]
 
@@ -247,59 +248,50 @@ def build_rep(params: AlgebraParams, dim: int) -> FockRep:
             f"dim {dim} exceeds the cap {DIM_CAP}, above which residuals drift with truncation"
         )
 
-    levels = np.arange(dim)
-    f_vals = structure_function(params, np.arange(dim + 1))
-    if np.any(f_vals[1:dim] <= 0.0):
-        bad = int(np.argmax(f_vals[1:dim] <= 0.0)) + 1
-        raise NonPositiveF(f"F({bad}) = {f_vals[bad]} <= 0")
+    f_vals = [structure_function(params, n) for n in range(dim)]
+    for n in range(1, dim):
+        if f_vals[n] <= 0.0:
+            raise NonPositiveF(f"F({n}) = {f_vals[n]} <= 0")
 
     # K and P_mu depend only on a level's residue: one lam-entry table each,
-    # P_mu from the literal root-of-unity sum.  The residues are numpy ints, as
-    # `levels % lam` is, so the complex division by lam rounds the same way.
-    residues = np.arange(lam)
-    phase = np.array([cmath.exp(2j * cmath.pi * d / lam) for d in residues])
-    root_sum = np.array(
-        [sum(cmath.exp(2j * cmath.pi * nu * d / lam) for nu in range(lam)) / lam
-         for d in residues]
-    )
-
-    def diagonal(vec: np.ndarray, offset: int = 0) -> Banded:
-        vec.setflags(write=False)
-        return Banded(dim, {offset: vec})
+    # P_mu from the literal root-of-unity sum.  Each angle 2 pi d / lam is taken
+    # as 2 pi d times the double 1/lam, which pins the phases' last bits (a true
+    # division by lam rounds differently at some lam, 6 and 9 among 2..9).
+    inv = 1 / lam
+    phase = [cmath.exp(2j * cmath.pi * d * inv) for d in range(lam)]
+    root_sum = [sum(cmath.exp(2j * cmath.pi * nu * d * inv) for nu in range(lam)) / lam
+                for d in range(lam)]
 
     # a |n> = sqrt(F(n)) |n-1> sits on offset -1 (column 0 has no row above it);
     # a+ is its conjugate transpose on offset +1 (column D-1 has no row below).
-    ladder = np.sqrt(f_vals[1:dim]).astype(complex)
-    zero = np.zeros(1, dtype=complex)
-    mat_a = diagonal(np.concatenate([zero, ladder]), -1)
-    mat_adag = diagonal(np.concatenate([ladder.conj(), zero]), 1)
-    mat_h0 = 0.5 * (mat_a @ mat_adag + mat_adag @ mat_a)
+    ladder = [complex(math.sqrt(f)) for f in f_vals[1:]]
+    mat_a = Banded(dim, {-1: (0j, *ladder)})
+    mat_adag = Banded(dim, {1: (*(v.conjugate() for v in ladder), 0j)})
     return FockRep(
         dim=dim,
         params=params,
-        mat_n=diagonal(levels.astype(complex)),
-        mat_k=diagonal(phase[levels % lam]),
-        mat_p=tuple(diagonal(root_sum[(levels - mu) % lam]) for mu in range(lam)),
+        mat_n=Banded(dim, {0: tuple(complex(n) for n in range(dim))}),
+        mat_k=Banded(dim, {0: tuple(phase[n % lam] for n in range(dim))}),
+        mat_p=tuple(Banded(dim, {0: tuple(root_sum[(n - mu) % lam] for n in range(dim))})
+                    for mu in range(lam)),
         mat_a=mat_a,
         mat_adag=mat_adag,
-        mat_h0=diagonal(mat_h0.bands[0]),
+        mat_h0=0.5 * (mat_a @ mat_adag + mat_adag @ mat_a),
     )
 
 
-def spectrum(rep: FockRep) -> np.ndarray:
+def spectrum(rep: FockRep) -> list:
     """Sorted eigenvalues of H0 on the uncorrupted block 0..D-2.
 
     H0 is diagonal in the Fock basis, so these are its sorted diagonal.  The
     top level D-1 is discarded because a a+ needs level D there.
     """
-    return np.sort(rep.mat_h0.bands[0][: rep.dim - 1].real)
+    return sorted(v.real for v in rep.mat_h0.bands[0][: rep.dim - 1])
 
 
-def spectrum_closed_form(params: AlgebraParams, count: int) -> np.ndarray:
-    """Level energies n + gamma_{n mod lam} + 1/2 for n = 0..count-1."""
-    return np.sort(
-        np.array([n + params.gamma[n % params.lam] + 0.5 for n in range(count)])
-    )
+def spectrum_closed_form(params: AlgebraParams, count: int) -> list:
+    """Level energies n + gamma_{n mod lam} + 1/2 for n = 0..count-1, sorted."""
+    return sorted(n + params.gamma[n % params.lam] + 0.5 for n in range(count))
 
 
 def apply_word(rep: FockRep, e: ex.OperatorExpr) -> Banded:

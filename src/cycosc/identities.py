@@ -111,7 +111,8 @@ CONVENTION_NOTES = (
     "Klein operator realized as K = exp(2i pi N / lam), forced by a+ K = x K a+",
     "alpha<->kappa transforms are the DFT pair consistent with the realized bracket",
     "ladder-bracket comparisons apply the fitted global sign to the published form",
-    "published sides are graded by normal-form coefficients: max|nf - pub| / max(1, max|nf|)",
+    "published sides are graded by normal-form coefficients: max|nf - pub| / max(f, max|nf|),"
+    " f = max(1, |beta_mu|, |kappa_r|) for basic and 1 elsewhere",
 )
 
 
@@ -127,7 +128,7 @@ class IdentityCheck:
     status: str
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # every suite of one run_suite call reads the same realization
 def _rep(params: AlgebraParams, dim: int) -> FockRep:
     return build_rep(params, dim)
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import repeat
+from operator import add, mul
 
 from . import expr as ex
 from .errors import BadRange, FormulaGap, LambdaMismatch, UnknownSymbol
@@ -38,7 +38,6 @@ from .fock import Banded, FockRep
 from .params import AlgebraParams, root_power, root_table
 
 PRUNE_TOL = 1e-13
-_NEG_ZERO = complex(-0.0, -0.0)  # the one complex x with x + y == y bit for bit
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,8 @@ def _a_times_adpow(lam: int, kappa: tuple, p: int) -> tuple:
 @lru_cache(maxsize=1024)
 def _reorder_core(lam: int, kappa: tuple, q: int, p: int) -> tuple:
     """Normal form of a^q (a+)^p as a tuple of ((p,q,r), coeff)."""
-    if q == 0:
-        return (((p, 0, 0), 1.0 + 0.0j),)
+    if q == 0 or p == 0:  # ordered already: recursing q levels deep gives the same 1.0 + 0.0j
+        return (((p, q, 0), 1.0 + 0.0j),)
     terms = {}
     for (pp, qq, rr), c in _reorder_core(lam, kappa, q - 1, p):
         for (p2, q2, r2), c2 in _a_times_adpow(lam, kappa, pp):
@@ -154,10 +153,28 @@ def _mul(x: NormalForm, y: NormalForm, lam: int, kappa: tuple) -> NormalForm:
 
 
 def nf_power(x: NormalForm, n: int, params: AlgebraParams) -> NormalForm:
+    """x^n for n >= 0.
+
+    A single term c a^q K^r or c (a+)^p K^r stays a single term in every
+    power, so from n = 4 on it is squared from the lowest bit of n up, in
+    `Banded.power`'s order, and its power costs O(log n) products.  Any other
+    x, and every n <= 3, is multiplied onto the identity one factor at a
+    time: the power of such an x grows with n, and multiplying it by the
+    small x costs far less than squaring it.
+    """
     acc = nf_monomial(params.lam, 0, 0, 0)
-    for _ in range(n):
-        acc = nf_mul(acc, x, params)
-    return acc
+    one_sided = len(x.terms) <= 1 and not any(p and q for p, q, _ in x.terms)
+    if n <= 3 or not one_sided:
+        for _ in range(n):
+            acc = nf_mul(acc, x, params)
+        return acc
+    z = result = None
+    while n > 0:  # bits from the lowest up, squaring z at each
+        z = x if z is None else nf_mul(z, z, params)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else nf_mul(result, z, params)
+    return result
 
 
 _GENERATORS = {"a": (0, 1, 0), "ad": (1, 0, 0), "K": (0, 0, 1)}  # kind -> (p, q, r)
@@ -179,27 +196,17 @@ def nf_to_matrix(x: NormalForm, rep: FockRep) -> Banded:
     """Reconstruct the matrix sum_{p,q,r} c (a+)^p a^q K^r, term by sorted term.
 
     Each monomial is the single diagonal p - q, row r of its grade's table
-    (absent when it leaves the truncation).  The terms on one diagonal are
-    scaled in one product, coefficient on the left as in `c * vec` (numpy's
-    SIMD complex multiply rounds differently with its operands swapped), and
-    summed in sorted order by one axis-0 sum, which numpy takes row after row
-    over a C-contiguous stack.  The sum starts from -0 - 0j, which leaves the
-    first row's bits unchanged (signed zeros too).
+    (absent when it leaves the truncation), scaled as `c * entry`; the terms
+    on one diagonal are summed in sorted order.
     """
-    groups = {}
+    bands = {}
     for (p, q, r), c in sorted(x.terms.items()):
         table = rep.grade_table(p, q)
-        if table is not None:
-            coeffs, rows = groups.setdefault(p - q, ([], []))
-            coeffs.append(c)
-            rows.append(table[r])
-    bands = {}
-    for offset, (coeffs, rows) in groups.items():
-        if len(rows) == 1:
-            bands[offset] = coeffs[0] * rows[0]
-        else:
-            scaled = np.array(coeffs)[:, None] * np.array(rows)
-            bands[offset] = scaled.sum(axis=0, initial=_NEG_ZERO)
+        if table is None:
+            continue
+        scaled = map(mul, repeat(c), table[r])
+        acc = bands.get(p - q)
+        bands[p - q] = tuple(scaled) if acc is None else tuple(map(add, acc, scaled))
     return Banded(rep.dim, bands)
 
 

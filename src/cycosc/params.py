@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (
     BadLength, CycoscError, NotFinite, NotHermitian, NotReal, SumNotZero, UnitarityBound,
 )
@@ -137,8 +135,7 @@ def validate_alpha(lam: int, alpha) -> AlgebraParams:
             )
 
     gamma = tuple(0.5 * (beta[mu] + beta[mu + 1]) for mu in range(lam))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        kappa = kappa_from_alpha(lam, alpha)
+    kappa = kappa_from_alpha(lam, alpha)  # an overflow is refused below
     if not all(cmath.isfinite(v) for v in (*gamma, *kappa)):
         raise NotFinite(f"alpha {list(alpha)} overflows its level shifts or kappa")
     return AlgebraParams(
@@ -153,9 +150,9 @@ def validate_alpha(lam: int, alpha) -> AlgebraParams:
 
 def kappa_from_alpha(lam: int, alpha) -> tuple[complex, ...]:
     """Forward transform: kappa_r = (1/lam) sum_mu alpha_mu x^{mu r}, r >= 1."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (lam,):
-        raise BadLength(f"alpha must have {lam} entries, got {alpha.shape}")
+    alpha = [float(a) for a in alpha]
+    if len(alpha) != lam:
+        raise BadLength(f"alpha must have {lam} entries, got {len(alpha)}")
     kappa = []
     for r in range(1, lam):
         acc = 0.0 + 0.0j

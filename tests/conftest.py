@@ -18,6 +18,19 @@ def random_valid_alpha(rng, lam):
     return np.append(head, -head.sum())
 
 
+def dense(mat) -> np.ndarray:
+    """The dim x dim numpy array of a Banded, the form every dense reference takes."""
+    out = np.zeros((mat.dim, mat.dim), dtype=complex)
+    for i, j, value in mat.entries():
+        out[i, j] = value
+    return out
+
+
+def bits(values) -> bytes:
+    """The IEEE bytes of complex values, signed zeros and NaN payloads included."""
+    return np.array(list(values), dtype=complex).tobytes()
+
+
 def lru_caches() -> dict:
     """Every functools cache bound at the top level of a cycosc module, by qualified name."""
     found = {}

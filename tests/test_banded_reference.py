@@ -21,13 +21,15 @@ from cycosc.fock import Banded, apply_word, build_rep, structure_function
 from cycosc.normal_order import nf_to_matrix, normal_form
 from cycosc.params import validate_alpha
 
+from conftest import dense
+
 EPS = np.finfo(float).eps
 
 
 def dense_generators(params, dim: int) -> dict:
     """(value, size) pairs of every atom and projector from np.diag."""
     lam, levels = params.lam, np.arange(dim)
-    a = np.diag(np.sqrt(structure_function(params, levels[1:])).astype(complex), 1)
+    a = np.diag(np.sqrt([structure_function(params, n) for n in range(1, dim)]).astype(complex), 1)
     k = np.diag([cmath.exp(2j * cmath.pi * (n % lam) / lam) for n in levels])
     gens = {"a": a, "ad": a.conj().T, "N": np.diag(levels.astype(complex)), "K": k,
             "I": np.eye(dim, dtype=complex)}
@@ -131,7 +133,7 @@ def test_banded_matches_dense_reference(case):
     params, dim, word = case
     rep = build_rep(params, dim)
     gens = dense_generators(params, dim)
-    _assert_close(apply_word(rep, word).toarray(), dense_eval(word, gens))
+    _assert_close(dense(apply_word(rep, word)), dense_eval(word, gens))
 
     nf = normal_form(word, params)
     terms = [(c, ex.word(ex.Power(ex.AD, p), ex.Power(ex.A, q), ex.Power(ex.KLEIN, r)))
@@ -140,19 +142,19 @@ def test_banded_matches_dense_reference(case):
     value = sum((c * ref[0] for c, ref in refs), np.zeros((dim, dim)))
     size = sum((abs(c) * ref[1] for c, ref in refs), np.zeros((dim, dim)))
     k = max((ref[2] + 1 for _, ref in refs), default=0)  # one more product: the coefficient
-    _assert_close(nf_to_matrix(nf, rep).toarray(), (value, size, k))
+    _assert_close(dense(nf_to_matrix(nf, rep)), (value, size, k))
 
 
 def _random_banded(rng, dim: int):
     """A dense matrix with random entries on a few random diagonals, and its Banded form."""
     offsets = rng.permutation(np.arange(1 - dim, dim))[: rng.integers(0, 4)]
-    dense = np.zeros((dim, dim), dtype=complex)
+    full = np.zeros((dim, dim), dtype=complex)
     for o in offsets:
         for j in range(max(0, -o), dim - max(0, o)):
-            dense[j + o, j] = complex(*rng.normal(size=2))
-    bands = {int(o): np.array([dense[j + o, j] if 0 <= j + o < dim else 0 for j in range(dim)])
+            full[j + o, j] = complex(*rng.normal(size=2))
+    bands = {int(o): tuple(complex(full[j + o, j]) if 0 <= j + o < dim else 0j for j in range(dim))
              for o in offsets}
-    return Banded(dim, bands), dense
+    return Banded(dim, bands), full
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,13 +162,13 @@ def _random_banded(rng, dim: int):
 def test_banded_arithmetic_matches_dense(dim, seed):
     rng = np.random.default_rng(seed)
     (x, dx), (y, dy) = _random_banded(rng, dim), _random_banded(rng, dim)
-    c = np.complex128(complex(*rng.normal(size=2)))
-    assert np.array_equal(x.toarray(), dx)
+    c = complex(*rng.normal(size=2))
+    assert np.array_equal(dense(x), dx)
     assert [(i, j) for i, j, _ in x.entries()] == list(zip(*np.nonzero(dx)))
     pairs = [(x + y, dx + dy), (x - y, dx - dy), (x @ y, dx @ dy), (c * x, c * dx),
              (x * c, dx * c), (x.power(5), np.linalg.matrix_power(dx, 5))]
     for got, want in pairs:
         scale = max(1.0, np.max(np.abs(want), initial=0.0))
-        assert np.max(np.abs(got.toarray() - want), initial=0.0) <= 1e-12 * scale
+        assert np.max(np.abs(dense(got) - want), initial=0.0) <= 1e-12 * scale
     lo, hi = sorted(int(v) for v in rng.integers(0, dim, 2))
-    assert x.window_max(lo, hi) == np.max(np.abs(dx[:, lo : hi + 1]))
+    assert x.window_max(lo, hi) == max(abs(complex(v)) for v in dx[:, lo : hi + 1].ravel())

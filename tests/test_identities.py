@@ -24,7 +24,7 @@ from cycosc.identities import (
 )
 from cycosc.params import params_from_kappa, validate_alpha
 
-from conftest import random_valid_alpha
+from conftest import dense, random_valid_alpha
 
 D = 48
 
@@ -137,8 +137,8 @@ def test_virasoro_lowering_pair(params_plain):
 def test_virasoro_antisymmetry(params_l2):
     rep = build_rep(params_l2, 24)
     for m, n in [(0, 1), (2, -1), (3, 1)]:
-        x = (rep.matrix_power("ad", m + 1) @ rep.mat_a).toarray()
-        y = (rep.matrix_power("ad", n + 1) @ rep.mat_a).toarray()
+        x = dense(rep.matrix_power("ad", m + 1) @ rep.mat_a)
+        y = dense(rep.matrix_power("ad", n + 1) @ rep.mat_a)
         assert np.max(np.abs((x @ y - y @ x) + (y @ x - x @ y))) == 0.0
 
 
@@ -311,7 +311,7 @@ def test_matrix_jacobi_on_random_triples(rng):
         weight = 0
         for _ in range(3):
             s, m = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            mats.append((rep.matrix_power("ad", s) @ rep.matrix_power("a", m)).toarray())
+            mats.append(dense(rep.matrix_power("ad", s) @ rep.matrix_power("a", m)))
             weight += s
         x, y, z = mats
 

@@ -119,3 +119,13 @@ def test_generator_powers_do_not_depend_on_kappa():
                 for p in sets:
                     chained = normal_order.nf_power(normal_form(ex.Atom(kind), p), n, p)
                     assert _bits(normal_form(power, p)) == _bits(chained), (lam, kind, n, p.kappa)
+
+
+def test_one_realization_is_held_at_a_time():
+    """Every suite of a run_suite call reads one realization; the next parameter set replaces it."""
+    _clear_all()
+    for lam, alphas in list(ALPHAS.items())[:2]:
+        run_suite(validate_alpha(lam, alphas[0]), 16)
+    info = identities._rep.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+    assert info.hits > 0

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -22,13 +23,14 @@ from cycosc.normal_order import (
     nf_adjoint,
     nf_monomial,
     nf_mul,
+    nf_power,
     nf_scale,
     nf_to_matrix,
     normal_form,
 )
 from cycosc.params import root_power, validate_alpha
 
-from conftest import lru_caches, random_valid_alpha
+from conftest import bits, dense, lru_caches, random_valid_alpha
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cycosc"
 
@@ -49,15 +51,15 @@ def test_number_operator_plain(params_plain):
 def test_number_operator_deformed(params_l3):
     rep = build_rep(params_l3, 12)
     nf = normal_form(parse("N"), params_l3)
-    mat = nf_to_matrix(nf, rep).toarray()
-    assert np.max(np.abs(mat - rep.mat_n.toarray())) < 1e-12
+    mat = dense(nf_to_matrix(nf, rep))
+    assert np.max(np.abs(mat - dense(rep.mat_n))) < 1e-12
 
 
 def test_projector_expansion_matches_matrices(params_l3):
     rep = build_rep(params_l3, 12)
     for mu in range(3):
         nf = normal_form(ex.Proj(mu), params_l3)
-        assert np.max(np.abs(nf_to_matrix(nf, rep).toarray() - rep.mat_p[mu].toarray())) < 1e-12
+        assert np.max(np.abs(dense(nf_to_matrix(nf, rep)) - dense(rep.mat_p[mu]))) < 1e-12
 
 
 def test_engine_matches_matrix_on_bracket(params_l2):
@@ -108,7 +110,7 @@ def test_hermiticity_via_matrices(rng):
         for text in ("a ad^2 K", "K^2 a a ad", "N ad K"):
             nf = normal_form(parse(text), params)
             adj = nf_adjoint(nf, params)
-            diff = nf_to_matrix(adj, rep).toarray() - nf_to_matrix(nf, rep).toarray().conj().T
+            diff = dense(nf_to_matrix(adj, rep)) - dense(nf_to_matrix(nf, rep)).conj().T
             # adjoint swaps the climb direction; stay away from the boundary
             w = nf.creation_weight() + adj.creation_weight()
             assert np.max(np.abs(diff[: 18 - w, : 18 - w])) < 1e-10
@@ -286,10 +288,6 @@ def test_rewrite_memo_is_bounded():
 # in the same order as the term-by-term formulations they replace
 
 
-def _bits(values) -> bytes:
-    return np.array(list(values), dtype=complex).tobytes()
-
-
 def _random_form(rng, lam: int, dim: int) -> NormalForm:
     """Terms on a few diagonals, several (p, q) grades on each, some past the truncation.
 
@@ -326,8 +324,7 @@ def test_nf_to_matrix_equals_the_sorted_term_sum_bit_for_bit(lam, rng):
             got, want = nf_to_matrix(x, rep), _term_by_term(x, rep)
             assert got.bands.keys() == want.bands.keys()
             for offset, vec in want.bands.items():
-                assert np.array_equal(got.bands[offset], vec)
-                assert got.bands[offset].tobytes() == vec.tobytes()
+                assert bits(got.bands[offset]) == bits(vec)
 
 
 def _kpoly_mul_scalar(x, y, scale=1.0):
@@ -373,15 +370,49 @@ def test_kpoly_loops_equal_their_numpy_scalar_forms_bit_for_bit(lam, rng):
     for _ in range(200):
         x, y = _random_kpoly(rng, lam), _random_kpoly(rng, lam)
         for scale in (1.0, float(rng.normal()), complex(*rng.normal(size=2))):
-            assert _bits(kpoly_mul(x, y, scale)) == _kpoly_mul_scalar(x, y, scale).tobytes()
-        assert _bits(kpoly_mul(x, y)) == _kpoly_mul_scalar(x, y).tobytes()
+            assert bits(kpoly_mul(x, y, scale)) == _kpoly_mul_scalar(x, y, scale).tobytes()
+        assert bits(kpoly_mul(x, y)) == _kpoly_mul_scalar(x, y).tobytes()
 
         p, q = (int(v) for v in rng.integers(0, 6, size=2))
         for poly in (x, [int(v) for v in rng.integers(-3, 4, size=lam)]):
             got, want = kpoly_left_mul(poly, p, q, lam), _kpoly_left_mul_scalar(poly, p, q, lam)
             assert list(got.terms) == list(want.terms)
-            assert _bits(got.terms.values()) == _bits(want.terms.values())
+            assert bits(got.terms.values()) == bits(want.terms.values())
 
         nf = NormalForm(lam, {(p, q, r): complex(c) for r, c in enumerate(x) if c != 0})
         for grade in ((p, q), (p + 1, q)):
-            assert _bits(left_read(nf, *grade)) == _left_read_scalar(nf, *grade).tobytes()
+            assert bits(left_read(nf, *grade)) == _left_read_scalar(nf, *grade).tobytes()
+
+
+@pytest.mark.parametrize("text", ["(a K)^300000", "(1*a)^300000"])
+def test_a_power_of_a_word_takes_logarithmically_many_products(monkeypatch, text):
+    """x^n squares x from the lowest bit of n up: at most 2 log2(n) products."""
+    from cycosc import normal_order
+
+    products = []
+
+    def counted(x, y, params):
+        products.append(1)
+        return nf_mul(x, y, params)
+
+    monkeypatch.setattr(normal_order, "nf_mul", counted)
+    params = validate_alpha(2, (0.5, -0.5))
+    nf = normal_form(parse(text), params)
+    assert [(p, q) for p, q, _ in nf.terms] == [(0, 300000)]
+    assert 0 < len(products) <= 2 * math.log2(300000)
+
+
+@pytest.mark.parametrize("lam", [2, 3, 5])
+def test_a_power_that_grows_is_the_left_to_right_product(lam, rng):
+    """1 * x * ... * x left to right, bit for bit, for n <= 3 and for any x whose powers grow."""
+    params = validate_alpha(lam, random_valid_alpha(rng, lam))
+    one = normal_form(ex.ONE, params)
+    for text, top in (("ad * a + 0.25 * K", 7), ("[a, ad^2] + P0", 5), ("ad * a", 7),
+                      ("a K", 4), ("2.5 * ad K^2", 4)):
+        x = normal_form(parse(text), params)
+        acc = one
+        for n in range(top):
+            got = nf_power(x, n, params)
+            assert list(got.terms) == list(acc.terms)
+            assert bits(got.terms.values()) == bits(acc.terms.values())
+            acc = nf_mul(acc, x, params)

@@ -1,6 +1,10 @@
 """Layout rules for the package source."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cycosc"
@@ -31,24 +35,42 @@ def test_json_output_has_one_writer():
     assert calls == []
 
 
-def _names_np(node) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node))
-
-
-def test_the_algebra_core_uses_numpy_only_to_build_matrices():
-    """identities.py imports no numpy; normal_order.py names np only inside nf_to_matrix.
-
-    K-polynomials are tuples of complex numbers, so every published side is
-    built with Python's own arithmetic.
-    """
-    tree = ast.parse((SRC / "identities.py").read_text(encoding="utf-8"))
-    imports = [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
-    ]
+def test_no_source_module_imports_numpy():
+    """The realization runs on tuples of Python complex numbers; numpy is a test dependency."""
+    imports = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}" for name in names
+                        if name.split(".")[0] == "numpy"]
     assert imports == []
 
-    tree = ast.parse((SRC / "normal_order.py").read_text(encoding="utf-8"))
-    users = [node.name for node in tree.body if _names_np(node)]
-    assert users == ["nf_to_matrix"]
+
+CHILD = """
+import contextlib, io, json, sys
+from cycosc.cli import main
+codes = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(json.loads(argv)))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_the_command_line_runs_without_numpy(tmp_path):
+    """verify (every suite), nf and spectrum, in one fresh process, never load numpy."""
+    commands = [
+        ["verify", "--lambda", "5", "--alpha", "0.3,-0.1,0.2,-0.25,-0.15", "--dim", "64",
+         "--suite", "all", "--out", str(tmp_path / "report.json")],
+        ["nf", "[a, ad^3]", "--lambda", "2", "--alpha", "0.5,-0.5"],
+        ["spectrum", "--lambda", "3", "--alpha", "0.3,0.2,-0.5", "--dim", "16"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", CHILD, *map(json.dumps, commands)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {"codes": [0, 0, 0], "numpy": False}
