@@ -223,12 +223,25 @@ def format_nf_text(nf: NormalForm) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One term of format_nf_json: its five fields as _json writes them, keys sorted.
+_NF_TERM = ('\n    {\n      "im": %r,\n      "p": %r,\n      "q": %r,\n      "r": %r,'
+            '\n      "re": %r\n    }')
+
+
 def format_nf_json(nf: NormalForm) -> str:
-    terms = [
-        {"p": p, "q": q, "r": r, "re": c.real, "im": c.imag}
-        for (p, q, r), c in nf.sorted_terms()
-    ]
-    return _json({"lambda": nf.lam, "terms": terms})
+    """The bytes of _json({"lambda": nf.lam, "terms": [{"p", "q", "r", "re", "im"}, ...]}).
+
+    Each term is written from one template, not walked as a dict; a
+    non-finite coefficient raises the ValueError _json raises for it.
+    """
+    terms = []
+    for (p, q, r), c in nf.sorted_terms():
+        if not cmath.isfinite(c):
+            _scalar(c.imag)  # "im" is written first
+            _scalar(c.real)
+        terms.append(_NF_TERM % (c.imag, p, q, r, c.real))
+    listed = "[" + ",".join(terms) + "\n  ]" if terms else "[]"
+    return '{\n  "lambda": %r,\n  "terms": %s\n}\n' % (nf.lam, listed)
 
 
 def cmd_nf(args) -> int:

@@ -8,6 +8,8 @@ Grammar accepted by :func:`parse`:
     brackets    [X, Y]  commutator              {X, Y}  anticommutator
     grouping    ( ... )
 
+Tokens and whitespace are ASCII: a digit is 0-9 and a letter A-Z or a-z, so
+any other character, a non-ASCII digit among them, is a ParseError.
 Whitespace is insignificant.  Powers must be non-negative integers.
 Printing with :func:`to_source` produces text that reparses to the same tree.
 """
@@ -15,59 +17,73 @@ Printing with :func:`to_source` produces text that reparses to the same tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import NegativePower, ParseError
+from .record import Record
 
 ATOM_KINDS = ("a", "ad", "N", "K", "I")
 
 
-@dataclass(frozen=True)
-class Atom:
-    kind: str  # one of ATOM_KINDS
+class Atom(Record):
+    __slots__ = __match_args__ = ("kind",)
+
+    def __init__(self, kind: str):
+        self.kind = kind  # one of ATOM_KINDS
 
 
-@dataclass(frozen=True)
-class Proj:
-    mu: int
+class Proj(Record):
+    __slots__ = __match_args__ = ("mu",)
+
+    def __init__(self, mu: int):
+        self.mu = mu
 
 
-@dataclass(frozen=True)
-class Scalar:
-    value: complex
+class Scalar(Record):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: complex):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Sum(Record):
+    __slots__ = __match_args__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        self.terms = terms
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Record):
+    __slots__ = __match_args__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "OperatorExpr"
-    exponent: int
+class Power(Record):
+    __slots__ = __match_args__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise NegativePower(f"power {self.exponent} < 0")
-
-
-@dataclass(frozen=True)
-class Commutator:
-    left: "OperatorExpr"
-    right: "OperatorExpr"
+    def __init__(self, base: OperatorExpr, exponent: int):
+        if exponent < 0:
+            raise NegativePower(f"power {exponent} < 0")
+        self.base = base
+        self.exponent = exponent
 
 
-@dataclass(frozen=True)
-class Anticommutator:
-    left: "OperatorExpr"
-    right: "OperatorExpr"
+class Commutator(Record):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: OperatorExpr, right: OperatorExpr):
+        self.left = left
+        self.right = right
+
+
+class Anticommutator(Record):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: OperatorExpr, right: OperatorExpr):
+        self.left = left
+        self.right = right
 
 
 OperatorExpr = Union[Atom, Proj, Scalar, Sum, Product, Power, Commutator, Anticommutator]
@@ -115,157 +131,158 @@ _TOKEN_RE = re.compile(
       | (?P<punct>[+\-*^\[\]{}(),])
       | (?P<bad>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,
 )
-_PROJ_RE = re.compile(r"P(\d+)")
+_PROJ_RE = re.compile(r"P(\d+)", re.ASCII)
 _ATOMS = {atom.kind: atom for atom in (A, AD, NUM, KLEIN, ONE)}
+_SIGNS = ("+", "-")
+_FACTOR_START = frozenset(("number", "name", "(", "[", "{"))
+_BRACKETS = {"[": ("]", Commutator), "{": ("}", Anticommutator)}  # opener -> closer, node type
 
 
 def _tokenize(text: str):
-    """(kind, text, position) per token, in one pass; `bad` matches any other character."""
-    tokens = []
+    """Kinds, texts and start positions of the tokens, in one pass, closed by an `end` token.
+
+    A kind is `number`, `name`, `end` or the punctuation character itself;
+    `bad` matches any other character and raises ParseError.
+    """
+    kinds, texts, starts = [], [], []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        if kind != "ws":
-            tokens.append((kind, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+        if kind == "ws":
+            continue
+        token = m.group()
+        if kind == "punct":
+            kind = token
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {token!r}", m.start())
+        kinds.append(kind)
+        texts.append(token)
+        starts.append(m.start())
+    kinds.append("end")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts
 
 
 class _Parser:
+    """Recursive descent over the token lists of one text.
+
+    Each rule takes the index of its first token and returns its node with
+    the index after it.  A nesting level costs four frames (expr, term,
+    factor, primary), so the recursion limit bounds the depth of the input.
+    """
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.kinds, self.texts, self.starts = _tokenize(text)
 
-    def peek(self):
-        return self.tokens[self.i]
+    def fail(self, message: str, i: int):
+        raise ParseError(message, self.starts[i])
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, text, pos = self.next()
-        if text != value:
-            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
-
-    def at_factor_start(self) -> bool:
-        kind, text, _ = self.peek()
-        return kind in ("number", "name") or text in ("(", "[", "{")
+    def expect(self, value: str, i: int) -> int:
+        if self.kinds[i] != value:
+            self.fail(f"expected {value!r}, found {self.texts[i] or 'end of input'!r}", i)
+        return i + 1
 
     # expr := term (('+'|'-') term)*
-    def parse_expr(self):
-        terms = [self.parse_term()]
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            t = self.parse_term()
-            terms.append(negated(t) if op == "-" else t)
-        return summed(*terms)
+    def expr(self, i: int):
+        kinds = self.kinds
+        node, i = self.term(i)
+        terms = [node]
+        while kinds[i] in _SIGNS:
+            op = kinds[i]
+            node, i = self.term(i + 1)
+            terms.append(negated(node) if op == "-" else node)
+        return (node if len(terms) == 1 else summed(*terms)), i
 
     # term := '-'* factor (('*')? factor)*
-    def parse_term(self):
-        sign = 1
-        while self.peek()[1] == "-":
-            self.next()
-            sign = -sign
-        factors = [self.parse_factor()]
-        while True:
-            if self.peek()[1] == "*":
-                self.next()
-                factors.append(self.parse_factor())
-            elif self.at_factor_start():
-                factors.append(self.parse_factor())
-            else:
-                break
-        node = word(*factors)
-        return negated(node) if sign < 0 else node
+    def term(self, i: int):
+        kinds = self.kinds
+        negative = False
+        while kinds[i] == "-":
+            i += 1
+            negative = not negative
+        node, i = self.factor(i)
+        factors = [node]
+        while kinds[i] == "*" or kinds[i] in _FACTOR_START:
+            node, i = self.factor(i + 1 if kinds[i] == "*" else i)
+            factors.append(node)
+        if len(factors) > 1:
+            node = word(*factors)
+        return (negated(node) if negative else node), i
 
-    # factor := primary ('^' integer)?
-    def parse_factor(self):
-        base = self.parse_primary()
-        if self.peek()[1] != "^":
-            return base
-        self.next()
-        sign = 1
-        while self.peek()[1] == "-":
-            self.next()
-            sign = -sign
-        kind, text, pos = self.next()
-        if kind != "number" or not text.isdecimal():
-            raise ParseError("exponent must be an integer", pos)
-        if sign < 0:
-            raise NegativePower(f"negative power at position {pos}")
-        return Power(base, int(text))
+    # factor := primary ('^' '-'* integer)?, where any '-' is a NegativePower
+    def factor(self, i: int):
+        base, i = self.primary(i)
+        kinds = self.kinds
+        if kinds[i] != "^":
+            return base, i
+        i += 1
+        negative = False
+        while kinds[i] == "-":
+            i += 1
+            negative = not negative
+        text = self.texts[i]
+        if kinds[i] != "number" or not text.isdecimal():
+            self.fail("exponent must be an integer", i)
+        if negative:
+            raise NegativePower(f"negative power at position {self.starts[i]}")
+        return Power(base, int(text)), i + 1
 
-    def parse_primary(self):
-        kind, text, pos = self.next()
-        if kind == "number":
-            return Scalar(complex(float(text)))
+    def primary(self, i: int):
+        kind, text = self.kinds[i], self.texts[i]
         if kind == "name":
             if text in _ATOMS:
-                return _ATOMS[text]
+                return _ATOMS[text], i + 1
             m = _PROJ_RE.fullmatch(text)
             if m:
-                return Proj(int(m.group(1)))
-            raise ParseError(f"unknown atom {text!r}", pos)
-        if text == "(":
-            lit = self._try_complex_literal()
-            if lit is not None:
-                return lit
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if text == "[":
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect("]")
-            return Commutator(left, right)
-        if text == "{":
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect("}")
-            return Anticommutator(left, right)
-        raise ParseError(f"unexpected token {text or 'end of input'!r}", pos)
+                return Proj(int(m.group(1))), i + 1
+            self.fail(f"unknown atom {text!r}", i)
+        if kind == "number":
+            return Scalar(complex(float(text))), i + 1
+        if kind == "(":
+            literal = self.complex_literal(i + 1)
+            if literal is not None:
+                return literal
+            inner, i = self.expr(i + 1)
+            return inner, self.expect(")", i)
+        if kind in _BRACKETS:
+            close, node_type = _BRACKETS[kind]
+            left, i = self.expr(i + 1)
+            right, i = self.expr(self.expect(",", i))
+            return node_type(left, right), self.expect(close, i)
+        self.fail(f"unexpected token {text or 'end of input'!r}", i)
 
-    def _try_complex_literal(self):
-        # After '(' look for: ['-'] number ',' ['-'] number ')'
-        mark = self.i
+    def complex_literal(self, i: int):
+        """(Scalar, index after it) for `['-'] number ',' ['-'] number ')'` from token i, else None.
 
-        def signed_number():
-            sign = 1.0
-            while self.peek()[1] == "-":
-                self.next()
-                sign = -sign
-            kind, text, _ = self.peek()
-            if kind != "number":
-                return None
-            self.next()
-            return sign * float(text)
+        Token i follows a '('.
+        """
+        re_part, i = self.signed_number(i)
+        if re_part is None or self.kinds[i] != ",":
+            return None
+        im_part, i = self.signed_number(i + 1)
+        if im_part is None or self.kinds[i] != ")":
+            return None
+        return Scalar(complex(re_part, im_part)), i + 1
 
-        re_part = signed_number()
-        if re_part is not None and self.peek()[1] == ",":
-            self.next()
-            im_part = signed_number()
-            if im_part is not None and self.peek()[1] == ")":
-                self.next()
-                return Scalar(complex(re_part, im_part))
-        self.i = mark
-        return None
+    def signed_number(self, i: int):
+        """(value, index after it) of `'-'* number` from token i; (None, i) without a number."""
+        sign = 1.0
+        while self.kinds[i] == "-":
+            i += 1
+            sign = -sign
+        if self.kinds[i] != "number":
+            return None, i
+        return sign * float(self.texts[i]), i + 1
 
 
 def parse(text: str) -> OperatorExpr:
     """Parse an operator expression; raises ParseError or NegativePower."""
     p = _Parser(text)
-    node = p.parse_expr()
-    kind, text_, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {text_!r}", pos)
+    node, i = p.expr(0)
+    if p.kinds[i] != "end":
+        p.fail(f"trailing input {p.texts[i]!r}", i)
     return node
 
 

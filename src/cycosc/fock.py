@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul, neg, sub
 
@@ -40,6 +39,8 @@ from .errors import (
     UnknownSymbol,
 )
 from .params import AlgebraParams
+from .record import Record
+
 
 def structure_function(params: AlgebraParams, n: int) -> float:
     """F(n) = n + beta_{n mod lam} for a level n; raises NegativeLevel below 0."""
@@ -48,16 +49,16 @@ def structure_function(params: AlgebraParams, n: int) -> float:
     return n + params.beta[n % params.lam]
 
 
-@dataclass(frozen=True)
-class SafeWindow:
+class SafeWindow(Record):
     """Columns [lo, hi] on which a set of words evaluates truncation-exactly."""
 
-    lo: int
-    hi: int
+    __slots__ = __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if not (0 <= self.lo <= self.hi):
-            raise EmptyWindow(f"invalid window [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int):
+        if not (0 <= lo <= hi):
+            raise EmptyWindow(f"invalid window [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
 
 
 class Banded:
@@ -173,19 +174,23 @@ class Banded:
         return 16 * sum(map(len, self.bands.values()))
 
 
-@dataclass(frozen=True)
-class FockRep:
+class FockRep(Record):
     """Banded realization of all generators at truncation D."""
 
-    dim: int
-    params: AlgebraParams
-    mat_n: Banded
-    mat_k: Banded
-    mat_p: tuple  # one projector per residue class
-    mat_a: Banded
-    mat_adag: Banded
-    mat_h0: Banded
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __match_args__ = ("dim", "params", "mat_n", "mat_k", "mat_p", "mat_a", "mat_adag", "mat_h0")
+    __slots__ = (*__match_args__, "_cache")
+
+    def __init__(self, dim: int, params: AlgebraParams, mat_n: Banded, mat_k: Banded,
+                 mat_p: tuple, mat_a: Banded, mat_adag: Banded, mat_h0: Banded):
+        self.dim = dim
+        self.params = params
+        self.mat_n = mat_n
+        self.mat_k = mat_k
+        self.mat_p = mat_p  # one projector per residue class
+        self.mat_a = mat_a
+        self.mat_adag = mat_adag
+        self.mat_h0 = mat_h0
+        self._cache = {}  # matrix powers and grade tables, outside equality and repr
 
     def projector(self, mu: int) -> Banded:
         return self.mat_p[mu % self.params.lam]

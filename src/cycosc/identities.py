@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
@@ -52,21 +51,21 @@ from .fock import (
 )
 from .normal_order import (
     NormalForm,
+    accumulate,
     beta_closed_form,
     beta_tower_raw,
     f_kpoly,
     kpoly_left_sum,
     kpoly_mul,
     left_read,
-    nf_add,
     nf_mul,
     nf_monomial,
     nf_sub,
     nf_to_matrix,
-    nf_zero,
     normal_form,
 )
 from .params import AlgebraParams, root_power, validate_alpha
+from .record import Record
 from .winf import central_charge, central_term, dual_readings, winf_structure
 
 GATE_TOL = 1e-8
@@ -116,16 +115,18 @@ CONVENTION_NOTES = (
 )
 
 
-@dataclass
-class IdentityCheck:
-    """Outcome of one identity comparison."""
+class IdentityCheck(Record):
+    """Outcome of one identity comparison; `vars()` of it holds the fields."""
 
-    id: str
-    window: tuple
-    residual_paper: float | None
-    residual_best: float | None
-    fitted: dict | None
-    status: str
+    __match_args__ = ("id", "window", "residual_paper", "residual_best", "fitted", "status")
+
+    def __init__(self, id, window, residual_paper, residual_best, fitted, status):
+        self.id = id
+        self.window = window
+        self.residual_paper = residual_paper
+        self.residual_best = residual_best
+        self.fitted = fitted
+        self.status = status
 
 
 @lru_cache(maxsize=1)  # every suite of one run_suite call reads the same realization
@@ -224,14 +225,8 @@ def _kpoly(params: AlgebraParams, c0, term) -> tuple:
 
 def _mono_expr(s: int, m: int) -> ex.OperatorExpr:
     """Expression for (a+)^s a^m."""
-    parts = []
-    if s:
-        parts.append(ex.Power(ex.AD, s))
-    if m:
-        parts.append(ex.Power(ex.A, m))
-    if not parts:
-        return ex.ONE
-    return ex.word(*parts)
+    parts = [ex.Power(f, k) for f, k in ((ex.AD, s), (ex.A, m)) if k]
+    return ex.word(*parts) if parts else ex.ONE
 
 
 def _ell_expr(m: int) -> ex.OperatorExpr:
@@ -397,17 +392,17 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
     prefactor = f_kpoly(params, m, "paper")
 
     def assemble(betas):
-        # nf_add, not one dict: the grades of different alpha coincide, and the
+        # not one dict of distinct grades: the grades of different alpha coincide, and the
         # pruning after each sum is part of the published side's arithmetic
-        rhs = nf_zero(lam)
+        rhs = {}
         for alpha in range(n):
             # one bracket (m + F x^alpha); x^alpha is a scalar power
             phase = root_power(lam, alpha)
             pref = _kpoly(params, m, lambda _, r: prefactor[r] * phase)
             for l in range(min(alpha + 1, m)):
                 combined = kpoly_mul(pref, betas[l])
-                rhs = nf_add(rhs, kpoly_left_sum([(combined, m - l - 1, n - l - 1)], lam))
-        return rhs
+                accumulate(rhs, kpoly_left_sum([(combined, m - l - 1, n - l - 1)], lam).terms)
+        return NormalForm(lam, rhs)
 
     res_oracle = d.against(assemble(tower.coeffs))
     res_closed = d.against(assemble([beta_closed_form(n - 1, m, l, params) for l in range(n)]))
@@ -617,7 +612,7 @@ def check_winf(params: AlgebraParams, dim: int) -> list:
             entry = _failed(label(x, y), err)
         checks.append(entry)
         if x != y:
-            checks.append(replace(entry, id=label(y, x), fitted=dict(entry.fitted)))
+            checks.append(entry.replace(id=label(y, x), fitted=dict(entry.fitted)))
     return sorted(checks, key=lambda c: c.id)
 
 
@@ -702,7 +697,7 @@ def check_wconst(phi_reading: str = "literal", n_reading: str = "literal") -> li
     The entries are built once per pair of readings; each call gets fresh
     copies (the fitted values are numbers and strings).
     """
-    return [replace(c, fitted=dict(c.fitted)) for c in _wconst_checks(phi_reading, n_reading)]
+    return [c.replace(fitted=dict(c.fitted)) for c in _wconst_checks(phi_reading, n_reading)]
 
 
 @lru_cache(maxsize=8)

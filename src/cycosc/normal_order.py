@@ -27,7 +27,6 @@ between the two conventions.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
@@ -36,16 +35,19 @@ from . import expr as ex
 from .errors import BadRange, FormulaGap, LambdaMismatch, UnknownSymbol
 from .fock import Banded, FockRep
 from .params import AlgebraParams, root_power, root_table
+from .record import Record
 
 PRUNE_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """Canonical expansion: map (p, q, r) -> complex coefficient."""
 
-    lam: int
-    terms: dict
+    __slots__ = __match_args__ = ("lam", "terms")
+
+    def __init__(self, lam: int, terms: dict):
+        self.lam = lam
+        self.terms = terms
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -79,13 +81,28 @@ def nf_monomial(lam: int, p: int, q: int, r: int, coeff=1.0) -> NormalForm:
     return NormalForm(lam, {(p, q, r % lam): complex(coeff)})
 
 
+def accumulate(terms: dict, other: dict, scale=None) -> None:
+    """terms += scale * other, in place, over the keys of `other` alone.
+
+    A scaled term below PRUNE_TOL is skipped, as `nf_scale` prunes it; a
+    sum below PRUNE_TOL drops its key, as `_pruned` does.  Without `scale`
+    the terms of `other` are added as they are.  With `terms` pruned, the
+    result has the bits, and the key order, of `nf_add`/`nf_sub` chained.
+    """
+    for key, c in other.items():
+        if scale is not None:
+            c = c * scale
+            if cmath.isfinite(c) and abs(c) < PRUNE_TOL:
+                continue
+        c = terms.get(key, 0.0) + c
+        if cmath.isfinite(c) and abs(c) < PRUNE_TOL:
+            terms.pop(key, None)
+        else:
+            terms[key] = c
+
+
 def nf_add(x: NormalForm, y: NormalForm) -> NormalForm:
-    if x.lam != y.lam:
-        raise LambdaMismatch(f"cannot add forms over orders {x.lam} and {y.lam}")
-    terms = dict(x.terms)
-    for key, c in y.terms.items():
-        terms[key] = terms.get(key, 0.0) + c
-    return _pruned(x.lam, terms)
+    return _combined(x, y, None)
 
 
 def nf_scale(x: NormalForm, c) -> NormalForm:
@@ -94,7 +111,16 @@ def nf_scale(x: NormalForm, c) -> NormalForm:
 
 
 def nf_sub(x: NormalForm, y: NormalForm) -> NormalForm:
-    return nf_add(x, nf_scale(y, -1.0))
+    return _combined(x, y, -1.0 + 0.0j)
+
+
+def _combined(x: NormalForm, y: NormalForm, scale) -> NormalForm:
+    """x + scale * y; the closing prune drops the terms below PRUNE_TOL of an unpruned x too."""
+    if x.lam != y.lam:
+        raise LambdaMismatch(f"cannot add forms over orders {x.lam} and {y.lam}")
+    terms = dict(x.terms)
+    accumulate(terms, y.terms, scale)
+    return _pruned(x.lam, terms)
 
 
 @lru_cache(maxsize=1024)
@@ -138,14 +164,23 @@ def nf_mul(x: NormalForm, y: NormalForm, params: AlgebraParams) -> NormalForm:
 
 
 def _mul(x: NormalForm, y: NormalForm, lam: int, kappa: tuple) -> NormalForm:
-    """`nf_mul` over (lam, kappa) without the order check."""
+    """`nf_mul` over (lam, kappa) without the order check.
+
+    Each reordering core a^q1 (a+)^p2 is fetched from its cache once per
+    product, however many term pairs share it.
+    """
     xs = root_table(lam)
+    ys = y.terms.items()
+    cores = {}
     out = {}
     for (p1, q1, r1), c1 in x.terms.items():
-        for (p2, q2, r2), c2 in y.terms.items():
+        for (p2, q2, r2), c2 in ys:
+            core = cores.get((q1, p2))
+            if core is None:
+                core = cores[q1, p2] = _reorder_core(lam, kappa, q1, p2)
             # K^{r1} crosses (a+)^{p2} a^{q2}: phase x^{r1 (q2 - p2)}
             base = c1 * c2 * xs[r1 * (q2 - p2) % lam]
-            for (pc, qc, rc), cc in _reorder_core(lam, kappa, q1, p2):
+            for (pc, qc, rc), cc in core:
                 # K^{rc} crosses a^{q2}: phase x^{rc q2}
                 key = (p1 + pc, qc + q2, (rc + r1 + r2) % lam)
                 out[key] = out.get(key, 0.0) + base * cc * xs[rc * q2 % lam]
@@ -249,14 +284,14 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
         case ex.Scalar(value):
             return _pruned(lam, {(0, 0, 0): complex(value)})
         case ex.Sum(terms):
-            acc = normal_form(terms[0], params)
+            acc = dict(normal_form(terms[0], params).terms)
             for t in terms[1:]:
-                acc = nf_add(acc, normal_form(t, params))
-            return acc
+                accumulate(acc, normal_form(t, params).terms)
+            return NormalForm(lam, acc)
         case ex.Product(factors):
             acc = normal_form(factors[0], params)
             for f in factors[1:]:
-                acc = nf_mul(acc, normal_form(f, params), params)
+                acc = _mul(acc, normal_form(f, params), lam, params.kappa)
             return acc
         case ex.Power(ex.Atom(kind), exponent) if kind in _GENERATORS:
             # a power of one generator moves no a past an a+ and no K past either:
@@ -265,14 +300,14 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
             return nf_monomial(lam, exponent * p, exponent * q, exponent * r)
         case ex.Power(base, exponent):
             return nf_power(normal_form(base, params), exponent, params)
-        case ex.Commutator(left, right):
+        case ex.Commutator(left, right) | ex.Anticommutator(left, right):
+            # LR - RL or LR + RL, summed into the fresh dict of LR
             lf = normal_form(left, params)
             rf = normal_form(right, params)
-            return nf_sub(nf_mul(lf, rf, params), nf_mul(rf, lf, params))
-        case ex.Anticommutator(left, right):
-            lf = normal_form(left, params)
-            rf = normal_form(right, params)
-            return nf_add(nf_mul(lf, rf, params), nf_mul(rf, lf, params))
+            out = _mul(lf, rf, lam, params.kappa).terms
+            scale = -1.0 + 0.0j if type(e) is ex.Commutator else None
+            accumulate(out, _mul(rf, lf, lam, params.kappa).terms, scale)
+            return NormalForm(lam, out)
     raise UnknownSymbol(f"cannot expand {e!r}")
 
 
@@ -344,17 +379,19 @@ def geometric_f(r: int, m: int, lam: int, sign: int = 1) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class BetaTower:
+class BetaTower(Record):
     """Reordering coefficients of a^n (a+)^{m-1}.
 
     coeffs[l] is the K-polynomial (lam complex numbers, left-positioned)
     multiplying (a+)^{m-1-l} a^{n-l}; coeffs[0] is exactly 1.
     """
 
-    n: int
-    m: int
-    coeffs: tuple  # one lam-tuple of complex numbers per l
+    __slots__ = __match_args__ = ("n", "m", "coeffs")
+
+    def __init__(self, n: int, m: int, coeffs: tuple):
+        self.n = n
+        self.m = m
+        self.coeffs = coeffs  # one lam-tuple of complex numbers per l
 
 
 def beta_tower_raw(n: int, m: int, params: AlgebraParams) -> BetaTower:

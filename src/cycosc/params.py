@@ -25,12 +25,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
     BadLength, CycoscError, NotFinite, NotHermitian, NotReal, SumNotZero, UnitarityBound,
 )
+from .record import Record
 
 # Tolerances for inputs of magnitude up to 1; each scales with the largest
 # entry of the vector it checks (see `_magnitude`).
@@ -59,9 +59,8 @@ def _magnitude(values) -> float:
     return max([1.0, *(abs(v) for v in values)])
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
-    """Validated parameter set; immutable and safe to share across threads.
+class AlgebraParams(Record):
+    """Validated parameter set; never changed after construction, so safe to share across threads.
 
     Fields:
         lam: cyclic order (>= 2).
@@ -70,14 +69,25 @@ class AlgebraParams:
         beta: lam+1 partial sums, beta_0 = 0, beta_mu = alpha_0+..+alpha_{mu-1}.
         gamma: lam level shifts, gamma_mu = (beta_mu + beta_{mu+1}) / 2.
         root: exp(-2i pi / lam).
+
+    A parameter set keys memo caches, so its hash is taken once, at construction.
     """
 
-    lam: int
-    alpha: tuple[float, ...]
-    kappa: tuple[complex, ...]
-    beta: tuple[float, ...]
-    gamma: tuple[float, ...]
-    root: complex
+    __match_args__ = ("lam", "alpha", "kappa", "beta", "gamma", "root")
+    __slots__ = (*__match_args__, "_hash")
+
+    def __init__(self, lam: int, alpha: tuple[float, ...], kappa: tuple[complex, ...],
+                 beta: tuple[float, ...], gamma: tuple[float, ...], root: complex):
+        self.lam = lam
+        self.alpha = alpha
+        self.kappa = kappa
+        self.beta = beta
+        self.gamma = gamma
+        self.root = root
+        self._hash = hash(self._fields())
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_deformed(self) -> bool:

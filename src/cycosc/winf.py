@@ -22,10 +22,10 @@ compared against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotFinite, PoleInPochhammer
+from .record import Record
 
 N_READINGS = ("literal", "alt")
 PHI_READINGS = ("literal", "alt")
@@ -146,22 +146,27 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class WInfConstants:
+class WInfConstants(Record):
     """One structure-constant evaluation, with dual readings recorded."""
 
-    i: int
-    j: int
-    l: int
-    m: int
-    n: int
-    c_i: Fraction
-    c_i_m: Fraction
-    value_N: float
-    value_phi: float
-    value_g: float
-    n_reading: str
-    phi_reading: str
+    __slots__ = __match_args__ = ("i", "j", "l", "m", "n", "c_i", "c_i_m", "value_N",
+                                  "value_phi", "value_g", "n_reading", "phi_reading")
+
+    def __init__(self, i: int, j: int, l: int, m: int, n: int, c_i: Fraction,
+                 c_i_m: Fraction, value_N: float, value_phi: float, value_g: float,
+                 n_reading: str, phi_reading: str):
+        self.i = i
+        self.j = j
+        self.l = l
+        self.m = m
+        self.n = n
+        self.c_i = c_i
+        self.c_i_m = c_i_m
+        self.value_N = value_N
+        self.value_phi = value_phi
+        self.value_g = value_g
+        self.n_reading = n_reading
+        self.phi_reading = phi_reading
 
 
 def winf_structure(

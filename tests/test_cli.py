@@ -2,13 +2,22 @@ import contextlib
 import enum
 import io
 import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycosc.cli import _json, main
+from cycosc.cli import _json, format_nf_json, main
+from cycosc.expr import parse
+from cycosc.normal_order import NormalForm, normal_form
+from cycosc.params import validate_alpha
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's word pool)
 
 
 def run(capsys, *argv):
@@ -595,3 +604,41 @@ def test_json_writer_refuses_other_types(bad):
     for value in (bad, [bad], {"x": [bad]}):
         with pytest.raises(TypeError):
             _json(value)
+
+
+def _nf_json_reference(nf):
+    """format_nf_json's bytes as the general writer lays them out."""
+    terms = [{"p": p, "q": q, "r": r, "re": c.real, "im": c.imag}
+             for (p, q, r), c in nf.sorted_terms()]
+    return _json({"lambda": nf.lam, "terms": terms})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nf_json_template_matches_the_writer_on_the_benchmark_words(seed):
+    """Every word of the nf-words benchmark pool of the seed, at its own parameter set."""
+    params = [validate_alpha(lam, alpha) for lam, alpha in workloads.nf_params(seed)]
+    for index, _word, text in workloads.nf_pool(seed):
+        nf = normal_form(parse(text), params[index])
+        assert format_nf_json(nf) == _nf_json_reference(nf), text
+
+
+@pytest.mark.parametrize("terms", [
+    {},
+    {(0, 0, 0): complex(-0.0, -0.0)},
+    {(0, 0, 0): complex(5e-324, -5e-324), (3, 1, 2): complex(1e308, -1e308)},
+    {(1, 0, 1): complex(-1e308, 0.0), (0, 2, 0): complex(0.0, -0.0), (12, 0, 0): 0.1 + 0.2j},
+])
+def test_nf_json_template_matches_the_writer_on_extreme_coefficients(terms):
+    nf = NormalForm(3, terms)
+    assert format_nf_json(nf) == _nf_json_reference(nf)
+
+
+@pytest.mark.parametrize("coeff", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                   complex(-math.inf, 1.0), complex(math.inf, math.nan)])
+def test_nf_json_template_refuses_non_finite_coefficients_as_the_writer_does(coeff):
+    nf = NormalForm(2, {(0, 0, 0): 1 + 0j, (1, 0, 0): coeff})
+    with pytest.raises(ValueError) as want:
+        _nf_json_reference(nf)
+    with pytest.raises(ValueError) as got:
+        format_nf_json(nf)
+    assert str(got.value) == str(want.value)

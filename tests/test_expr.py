@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from cycosc import expr as ex
+from cycosc.cli import main
 from cycosc.errors import NegativePower, ParseError
 from cycosc.expr import creation_weight, parse, to_source
 from cycosc.params import validate_alpha
@@ -245,7 +246,23 @@ def test_suite_words_parse_to_their_trees(lam, alpha):
 def test_atoms_parse_to_the_module_constants():
     atoms = (ex.A, ex.AD, ex.NUM, ex.KLEIN, ex.ONE)
     assert all(parse(kind) is atom for kind, atom in zip(ex.ATOM_KINDS, atoms, strict=True))
-    assert parse("P\u0663 a^\u0663") == ex.word(ex.Proj(3), ex.Power(ex.A, 3))  # Unicode Nd
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("a^\u0663", 2),          # ARABIC-INDIC DIGIT THREE
+    ("P\u0663", 1),
+    ("P3\u0663", 2),
+    ("\uff13 a", 0),          # FULLWIDTH DIGIT THREE
+    ("a\u00a0ad", 1),         # NO-BREAK SPACE: whitespace is ASCII too
+])
+def test_non_ascii_digits_and_spaces_are_parse_errors(capsys, text, pos):
+    """The tokens are ASCII, so a tree has one spelling: the one to_source prints."""
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.pos == pos
+    assert main(["nf", text, "--lambda", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unexpected character")
 
 
 @pytest.mark.parametrize("text, pos, char", [
@@ -263,3 +280,18 @@ def test_unknown_character_position(text, pos, char):
         parse(text)
     assert info.value.pos == pos
     assert str(info.value) == f"unexpected character {char!r} (at position {pos})"
+
+
+def test_nodes_compare_and_hash_by_type_and_fields():
+    assert ex.Sum((ex.A, ex.AD)) != ex.Product((ex.A, ex.AD))
+    assert ex.Commutator(ex.A, ex.AD) != ex.Anticommutator(ex.A, ex.AD)
+    assert ex.Proj(1) != ex.Scalar(1) and ex.Scalar(1) != 1
+    first, second = parse("[a, ad^2] + 0.5 K"), parse("[a,ad^2]+0.5*K")
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert len({first, second, parse("[ad^2, a] + 0.5 K")}) == 2
+    assert repr(ex.Power(ex.A, 2)) == "Power(base=Atom(kind='a'), exponent=2)"
+    match parse("[a, ad^2]"):
+        case ex.Commutator(ex.Atom("a"), ex.Power(ex.Atom("ad"), 2)):
+            pass
+        case other:
+            pytest.fail(f"no class pattern matched {other!r}")

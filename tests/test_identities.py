@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from cycosc.errors import DimTooSmall, IndexOutOfRealization, NotFinite, WrongLambda
+from cycosc.errors import (
+    DimTooSmall, EmptyWindow, IndexOutOfRealization, NotFinite, WrongLambda,
+)
 from cycosc.fock import build_rep
 from cycosc.fock import SafeWindow
 from cycosc.identities import (
     SUITES,
+    IdentityCheck,
     _verdict,
     check_basic,
     check_casimir,
@@ -469,3 +472,16 @@ def test_verdict_fails_a_non_finite_published_residual(res_paper):
 def test_run_suite_refuses_an_overflowing_realization():
     with pytest.raises(NotFinite, match=r"^single\.m\d: gate "):
         run_suite(validate_alpha(2, (1e200, -1e200)), 16)
+
+
+def test_identity_check_copies_are_separate_and_vars_is_the_fields():
+    check = IdentityCheck("basic.x", (0, 5), 1e-15, 1e-15, {"k": 1.0}, "pass")
+    copy = check.replace(id="basic.y", fitted=dict(check.fitted))
+    assert vars(copy) == {**vars(check), "id": "basic.y"}
+    assert list(vars(check)) == ["id", "window", "residual_paper", "residual_best", "fitted",
+                                 "status"]
+    copy.fitted["k"] = 2.0
+    assert check.fitted == {"k": 1.0} and check != copy
+    assert check == IdentityCheck(**vars(check))
+    with pytest.raises(EmptyWindow):
+        SafeWindow(3, 2)

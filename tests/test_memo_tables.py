@@ -129,3 +129,14 @@ def test_one_realization_is_held_at_a_time():
     info = identities._rep.cache_info()
     assert (info.misses, info.currsize) == (2, 1)
     assert info.hits > 0
+
+
+def test_equal_parameter_sets_share_one_realization():
+    """AlgebraParams key the realization cache by value: a second equal set is a hit."""
+    first, second = validate_alpha(3, (0.2, -0.3, 0.1)), validate_alpha(3, (0.2, -0.3, 0.1))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != validate_alpha(3, (0.1, -0.3, 0.2))
+    identities._rep.cache_clear()
+    assert identities._rep(first, 16) is identities._rep(second, 16)
+    info = identities._rep.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)

@@ -1,9 +1,12 @@
+import cmath
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cycosc import expr as ex
 from cycosc.errors import BadRange, LambdaMismatch
@@ -12,6 +15,7 @@ from cycosc.fock import Banded, apply_word, build_rep, safe_window, window_resid
 from cycosc.normal_order import (
     PRUNE_TOL,
     NormalForm,
+    accumulate,
     beta_closed_form,
     beta_oracle,
     beta_tower_raw,
@@ -25,6 +29,7 @@ from cycosc.normal_order import (
     nf_mul,
     nf_power,
     nf_scale,
+    nf_sub,
     nf_to_matrix,
     normal_form,
 )
@@ -416,3 +421,87 @@ def test_a_power_that_grows_is_the_left_to_right_product(lam, rng):
             assert list(got.terms) == list(acc.terms)
             assert bits(got.terms.values()) == bits(acc.terms.values())
             acc = nf_mul(acc, x, params)
+
+
+# ---------------------------------------------------------------------------
+# in-place sums against the copy-and-prune arithmetic they replace
+
+
+def _reference_pruned(lam, terms):
+    return NormalForm(lam, {k: v for k, v in terms.items()
+                            if not (cmath.isfinite(v) and abs(v) < PRUNE_TOL)})
+
+
+def _reference_add(x, y):
+    """nf_add as a copy of x, a sum per key of y and a prune of the whole dict."""
+    terms = dict(x.terms)
+    for key, c in y.terms.items():
+        terms[key] = terms.get(key, 0.0) + c
+    return _reference_pruned(x.lam, terms)
+
+
+def _reference_sub(x, y):
+    """nf_sub as nf_add of the pruned -1 * y."""
+    minus_y = _reference_pruned(y.lam, {k: v * complex(-1.0) for k, v in y.terms.items()})
+    return _reference_add(x, minus_y)
+
+
+def _same_bits(got: NormalForm, want: NormalForm):
+    assert got.lam == want.lam
+    assert list(got.terms) == list(want.terms)
+    assert bits(got.terms.values()) == bits(want.terms.values())
+
+
+# Parts that cancel exactly, sit just below or above PRUNE_TOL, are signed zeros or
+# are not finite; keys from a small grid, so the forms share most of their keys.
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3e-14, -3e-14, 9.9e-14, 1.1e-13,
+                          5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+_COEFFS = st.builds(complex, _PARTS, _PARTS)
+_KEYS = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2))
+_FORMS = st.dictionaries(_KEYS, _COEFFS, max_size=8).map(lambda terms: NormalForm(3, terms))
+
+
+@settings(max_examples=400, deadline=None)
+@given(first=_FORMS, rest=st.lists(st.tuples(st.booleans(), _FORMS), max_size=5))
+def test_in_place_sums_match_chained_nf_add_and_nf_sub_bit_for_bit(first, rest):
+    want = _reference_pruned(3, first.terms)
+    terms = dict(want.terms)
+    for subtract, y in rest:
+        want = (_reference_sub if subtract else _reference_add)(want, y)
+        accumulate(terms, y.terms, -1.0 + 0.0j if subtract else None)
+        _same_bits(NormalForm(3, terms), want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_FORMS, y=_FORMS)
+@example(x=NormalForm(3, {(0, 0, 0): 3e-14 + 0j, (1, 0, 0): 1 + 0j}),
+         y=NormalForm(3, {(1, 0, 0): -1 + 0j, (0, 1, 2): 5e-324 + 0j}))
+def test_public_sums_prune_an_unpruned_left_operand(x, y):
+    _same_bits(nf_add(x, y), _reference_add(x, y))
+    _same_bits(nf_sub(x, y), _reference_sub(x, y))
+
+
+@pytest.mark.parametrize("text", ["a + ad - a + 1e-14", "[a^2, ad^3] + [ad, a^2] - 2 * N",
+                                  "{a, ad} - {ad, a}", "[ad a, K] + P0 - P1", "[a, ad] - (1,0)"])
+def test_sums_and_brackets_reduce_as_the_chained_arithmetic_does(params_l3, text):
+    """normal_form's Sum, Commutator and Anticommutator against nf_mul and the chained sums."""
+    def reference(e):
+        match e:
+            case ex.Sum(terms):
+                acc = reference(terms[0])
+                for t in terms[1:]:
+                    acc = _reference_add(acc, reference(t))
+                return acc
+            case ex.Commutator(left, right) | ex.Anticommutator(left, right):
+                lf, rf = reference(left), reference(right)
+                combine = _reference_sub if isinstance(e, ex.Commutator) else _reference_add
+                return combine(nf_mul(lf, rf, params_l3), nf_mul(rf, lf, params_l3))
+            case ex.Product(factors):
+                acc = reference(factors[0])
+                for f in factors[1:]:
+                    acc = nf_mul(acc, reference(f), params_l3)
+                return acc
+        return normal_form(e, params_l3)
+
+    tree = parse(text)
+    _same_bits(normal_form(tree, params_l3), reference(tree))

@@ -35,8 +35,8 @@ def test_json_output_has_one_writer():
     assert calls == []
 
 
-def test_no_source_module_imports_numpy():
-    """The realization runs on tuples of Python complex numbers; numpy is a test dependency."""
+def _imports_of(package: str) -> list:
+    """`file:line` of every import of `package` or one of its modules under src/."""
     imports = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -47,8 +47,18 @@ def test_no_source_module_imports_numpy():
             else:
                 continue
             imports += [f"{path.name}:{node.lineno}" for name in names
-                        if name.split(".")[0] == "numpy"]
-    assert imports == []
+                        if name.split(".")[0] == package]
+    return imports
+
+
+def test_no_source_module_imports_numpy():
+    """The realization runs on tuples of Python complex numbers; numpy is a test dependency."""
+    assert _imports_of("numpy") == []
+
+
+def test_no_source_module_imports_dataclasses():
+    """The value types are plain classes: `dataclasses` (with `inspect`) costs start-up time."""
+    assert _imports_of("dataclasses") == []
 
 
 CHILD = """
@@ -58,12 +68,14 @@ codes = []
 for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(json.loads(argv)))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "loaded": sorted({"numpy", "dataclasses", "inspect"}
+                                                 & sys.modules.keys())}))
 """
 
 
 def test_the_command_line_runs_without_numpy(tmp_path):
-    """verify (every suite), nf and spectrum, in one fresh process, never load numpy."""
+    """verify (every suite), nf and spectrum, in one fresh process, never load numpy,
+    dataclasses or inspect."""
     commands = [
         ["verify", "--lambda", "5", "--alpha", "0.3,-0.1,0.2,-0.25,-0.15", "--dim", "64",
          "--suite", "all", "--out", str(tmp_path / "report.json")],
@@ -73,4 +85,4 @@ def test_the_command_line_runs_without_numpy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", CHILD, *map(json.dumps, commands)],
                           env=env, capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == {"codes": [0, 0, 0], "numpy": False}
+    assert json.loads(done.stdout) == {"codes": [0, 0, 0], "loaded": []}
