@@ -99,7 +99,7 @@ def summed(*terms) -> OperatorExpr:
     """Flattening Sum constructor."""
     flat = []
     for t in terms:
-        flat.extend(t.terms if isinstance(t, Sum) else (t,))
+        flat.extend(t.terms if type(t) is Sum else (t,))
     return flat[0] if len(flat) == 1 else Sum(tuple(flat))
 
 
@@ -107,7 +107,7 @@ def word(*factors) -> OperatorExpr:
     """Flattening Product constructor."""
     flat = []
     for f in factors:
-        flat.extend(f.factors if isinstance(f, Product) else (f,))
+        flat.extend(f.factors if type(f) is Product else (f,))
     return flat[0] if len(flat) == 1 else Product(tuple(flat))
 
 
@@ -116,7 +116,7 @@ def scaled(c, e) -> OperatorExpr:
 
 
 def negated(e) -> OperatorExpr:
-    if isinstance(e, Scalar):
+    if type(e) is Scalar:
         return Scalar(-e.value)
     return word(Scalar(complex(-1)), e)
 
@@ -124,113 +124,146 @@ def negated(e) -> OperatorExpr:
 # ---------------------------------------------------------------------------
 # tokenizer
 
+_PUNCT = "+-*^[](){},"
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z]+\d*)
-      | (?P<punct>[+\-*^\[\]{}(),])
-      | (?P<bad>.)
+    r"""[+\-*^\[\]{}(),]
+      | \d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?
+      | [A-Za-z]+\d*
     """,
-    re.VERBOSE | re.DOTALL | re.ASCII,
+    re.VERBOSE | re.ASCII,
 )
+_SPACE = " \t\n\r\f\v"  # what \s matches under re.ASCII
 _PROJ_RE = re.compile(r"P(\d+)", re.ASCII)
 _ATOMS = {atom.kind: atom for atom in (A, AD, NUM, KLEIN, ONE)}
 _SIGNS = ("+", "-")
-_FACTOR_START = frozenset(("number", "name", "(", "[", "{"))
+_TERM_STOPS = frozenset(("+", "-", "^", ")", "]", "}", ",", ""))  # tokens no factor starts at
 _BRACKETS = {"[": ("]", Commutator), "{": ("}", Anticommutator)}  # opener -> closer, node type
+_KINDS = {"": "end"}  # first character of a token -> its kind
+_KINDS.update((c, c) for c in _PUNCT)
+_KINDS.update((c, "number") for c in "0123456789.")
+_KINDS.update((c, "name") for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 
-def _tokenize(text: str):
-    """Kinds, texts and start positions of the tokens, in one pass, closed by an `end` token.
+def _token_kind(token: str) -> str:
+    """`number`, `name`, `end` (the empty token) or the punctuation character itself."""
+    return _KINDS[token[:1]]
 
-    A kind is `number`, `name`, `end` or the punctuation character itself;
-    `bad` matches any other character and raises ParseError.
+
+def _tokenize(text: str) -> list:
+    """The token texts of `text`, in one scan, closed by the empty `end` token.
+
+    Whitespace separates tokens.  Any other character that no token covers
+    raises ParseError; the count of covered characters proves there is none.
     """
-    kinds, texts, starts = [], [], []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        token = m.group()
-        if kind == "punct":
-            kind = token
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {token!r}", m.start())
-        kinds.append(kind)
-        texts.append(token)
-        starts.append(m.start())
-    kinds.append("end")
-    texts.append("")
-    starts.append(len(text))
-    return kinds, texts, starts
+    tokens = _TOKEN_RE.findall(text)
+    if sum(map(len, tokens)) != len(text) - text.count(" "):
+        _token_starts(text)  # raises ParseError unless the rest is whitespace other than ' '
+    tokens.append("")
+    return tokens
+
+
+def _token_starts(text: str) -> list:
+    """Start positions of the tokens of `text`, the `end` token's included.
+
+    Raises ParseError at the first character that is neither whitespace nor
+    inside a token.  Only errors need positions, so only they scan again.
+    """
+    starts, done = [], 0
+    for m in (*_TOKEN_RE.finditer(text), None):
+        start = len(text) if m is None else m.start()
+        rest = text[done:start].lstrip(_SPACE)
+        if rest:
+            pos = start - len(rest)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        starts.append(start)
+        if m is not None:
+            done = m.end()
+    return starts
 
 
 class _Parser:
-    """Recursive descent over the token lists of one text.
+    """Recursive descent over the token texts of one text.
 
     Each rule takes the index of its first token and returns its node with
     the index after it.  A nesting level costs four frames (expr, term,
-    factor, primary), so the recursion limit bounds the depth of the input.
+    factor, primary), so the recursion limit bounds the depth of the input;
+    `term` and `factor` take a bare atom without a call.
     """
 
     def __init__(self, text: str):
-        self.kinds, self.texts, self.starts = _tokenize(text)
+        self.text = text
+        self.tokens = _tokenize(text)
 
     def fail(self, message: str, i: int):
-        raise ParseError(message, self.starts[i])
+        raise ParseError(message, self.start(i))
+
+    def start(self, i: int) -> int:
+        return _token_starts(self.text)[i]
 
     def expect(self, value: str, i: int) -> int:
-        if self.kinds[i] != value:
-            self.fail(f"expected {value!r}, found {self.texts[i] or 'end of input'!r}", i)
+        if self.tokens[i] != value:
+            self.fail(f"expected {value!r}, found {self.tokens[i] or 'end of input'!r}", i)
         return i + 1
 
     # expr := term (('+'|'-') term)*
     def expr(self, i: int):
-        kinds = self.kinds
+        tokens = self.tokens
         node, i = self.term(i)
         terms = [node]
-        while kinds[i] in _SIGNS:
-            op = kinds[i]
+        while tokens[i] in _SIGNS:
+            op = tokens[i]
             node, i = self.term(i + 1)
             terms.append(negated(node) if op == "-" else node)
         return (node if len(terms) == 1 else summed(*terms)), i
 
     # term := '-'* factor (('*')? factor)*
     def term(self, i: int):
-        kinds = self.kinds
+        tokens = self.tokens
         negative = False
-        while kinds[i] == "-":
+        while tokens[i] == "-":
             i += 1
             negative = not negative
-        node, i = self.factor(i)
-        factors = [node]
-        while kinds[i] == "*" or kinds[i] in _FACTOR_START:
-            node, i = self.factor(i + 1 if kinds[i] == "*" else i)
+        factors = []
+        while True:
+            node = _ATOMS.get(tokens[i])
+            if node is not None and tokens[i + 1] != "^":
+                i += 1
+            else:
+                node, i = self.factor(i)
             factors.append(node)
+            if tokens[i] == "*":
+                i += 1
+            elif tokens[i] in _TERM_STOPS:
+                break
         if len(factors) > 1:
             node = word(*factors)
         return (negated(node) if negative else node), i
 
     # factor := primary ('^' '-'* integer)?, where any '-' is a NegativePower
     def factor(self, i: int):
-        base, i = self.primary(i)
-        kinds = self.kinds
-        if kinds[i] != "^":
+        tokens = self.tokens
+        base = _ATOMS.get(tokens[i])
+        if base is None:
+            base, i = self.primary(i)
+        else:
+            i += 1
+        if tokens[i] != "^":
             return base, i
         i += 1
         negative = False
-        while kinds[i] == "-":
+        while tokens[i] == "-":
             i += 1
             negative = not negative
-        text = self.texts[i]
-        if kinds[i] != "number" or not text.isdecimal():
+        text = tokens[i]
+        if not text.isdecimal():
             self.fail("exponent must be an integer", i)
         if negative:
-            raise NegativePower(f"negative power at position {self.starts[i]}")
+            raise NegativePower(f"negative power at position {self.start(i)}")
         return Power(base, int(text)), i + 1
 
     def primary(self, i: int):
-        kind, text = self.kinds[i], self.texts[i]
+        text = self.tokens[i]
+        kind = _token_kind(text)
         if kind == "name":
             if text in _ATOMS:
                 return _ATOMS[text], i + 1
@@ -259,30 +292,31 @@ class _Parser:
         Token i follows a '('.
         """
         re_part, i = self.signed_number(i)
-        if re_part is None or self.kinds[i] != ",":
+        if re_part is None or self.tokens[i] != ",":
             return None
         im_part, i = self.signed_number(i + 1)
-        if im_part is None or self.kinds[i] != ")":
+        if im_part is None or self.tokens[i] != ")":
             return None
         return Scalar(complex(re_part, im_part)), i + 1
 
     def signed_number(self, i: int):
         """(value, index after it) of `'-'* number` from token i; (None, i) without a number."""
+        tokens = self.tokens
         sign = 1.0
-        while self.kinds[i] == "-":
+        while tokens[i] == "-":
             i += 1
             sign = -sign
-        if self.kinds[i] != "number":
+        if _token_kind(tokens[i]) != "number":
             return None, i
-        return sign * float(self.texts[i]), i + 1
+        return sign * float(tokens[i]), i + 1
 
 
 def parse(text: str) -> OperatorExpr:
     """Parse an operator expression; raises ParseError or NegativePower."""
     p = _Parser(text)
     node, i = p.expr(0)
-    if p.kinds[i] != "end":
-        p.fail(f"trailing input {p.texts[i]!r}", i)
+    if p.tokens[i]:
+        p.fail(f"trailing input {p.tokens[i]!r}", i)
     return node
 
 
@@ -297,28 +331,29 @@ def _format_scalar(c: complex) -> str:
 
 def to_source(e: OperatorExpr) -> str:
     """Render a tree as text that parses back to the same tree."""
-    if isinstance(e, Atom):
+    kind = type(e)
+    if kind is Atom:
         return e.kind
-    if isinstance(e, Proj):
+    if kind is Proj:
         return f"P{e.mu}"
-    if isinstance(e, Scalar):
+    if kind is Scalar:
         return _format_scalar(e.value)
-    if isinstance(e, Sum):
+    if kind is Sum:
         return " + ".join(to_source(t) for t in e.terms)
-    if isinstance(e, Product):
+    if kind is Product:
         parts = []
         for f in e.factors:
             s = to_source(f)
-            parts.append(f"({s})" if isinstance(f, Sum) else s)
+            parts.append(f"({s})" if type(f) is Sum else s)
         return " * ".join(parts)
-    if isinstance(e, Power):
+    if kind is Power:
         s = to_source(e.base)
-        if not isinstance(e.base, (Atom, Proj)):
+        if type(e.base) not in (Atom, Proj):
             s = f"({s})"
         return f"{s}^{e.exponent}"
-    if isinstance(e, Commutator):
+    if kind is Commutator:
         return f"[{to_source(e.left)}, {to_source(e.right)}]"
-    if isinstance(e, Anticommutator):
+    if kind is Anticommutator:
         return f"{{{to_source(e.left)}, {to_source(e.right)}}}"
     raise TypeError(f"not an operator expression: {e!r}")
 
@@ -329,16 +364,17 @@ def creation_weight(e: OperatorExpr) -> int:
     This bounds how far an evaluation can climb above the starting level,
     which is what truncation-exactness windows are computed from.
     """
-    if isinstance(e, Atom):
+    kind = type(e)
+    if kind is Atom:
         return 1 if e.kind == "ad" else 0
-    if isinstance(e, (Proj, Scalar)):
+    if kind is Proj or kind is Scalar:
         return 0
-    if isinstance(e, Sum):
+    if kind is Sum:
         return max(creation_weight(t) for t in e.terms)
-    if isinstance(e, Product):
+    if kind is Product:
         return sum(creation_weight(f) for f in e.factors)
-    if isinstance(e, Power):
+    if kind is Power:
         return e.exponent * creation_weight(e.base)
-    if isinstance(e, (Commutator, Anticommutator)):
+    if kind is Commutator or kind is Anticommutator:
         return creation_weight(e.left) + creation_weight(e.right)
     raise TypeError(f"not an operator expression: {e!r}")

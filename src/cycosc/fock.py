@@ -300,37 +300,36 @@ def spectrum_closed_form(params: AlgebraParams, count: int) -> list:
 
 
 def apply_word(rep: FockRep, e: ex.OperatorExpr) -> Banded:
-    """Literal matrix evaluation of an expression tree."""
-    if isinstance(e, ex.Atom):
-        return rep.atom_matrix(e.kind)
-    if isinstance(e, ex.Proj):
-        if not (0 <= e.mu < rep.params.lam):
-            raise UnknownSymbol(f"P{e.mu} undefined for cyclic order {rep.params.lam}")
-        return rep.projector(e.mu)
-    if isinstance(e, ex.Scalar):
-        return e.value * Banded.identity(rep.dim)
-    if isinstance(e, ex.Sum):
-        acc = apply_word(rep, e.terms[0])
-        for t in e.terms[1:]:
-            acc = acc + apply_word(rep, t)
-        return acc
-    if isinstance(e, ex.Product):
+    """Literal matrix evaluation of an expression tree, by its exact node type."""
+    kind = type(e)
+    if kind is ex.Product:
         acc = apply_word(rep, e.factors[0])
         for f in e.factors[1:]:
             acc = acc @ apply_word(rep, f)
         return acc
-    if isinstance(e, ex.Power):
-        if isinstance(e.base, ex.Atom):
+    if kind is ex.Atom:
+        return rep.atom_matrix(e.kind)
+    if kind is ex.Power:
+        if type(e.base) is ex.Atom:
             return rep.matrix_power(e.base.kind, e.exponent)
         return apply_word(rep, e.base).power(e.exponent)
-    if isinstance(e, ex.Commutator):
+    if kind is ex.Scalar:
+        return e.value * Banded.identity(rep.dim)
+    if kind is ex.Sum:
+        acc = apply_word(rep, e.terms[0])
+        for t in e.terms[1:]:
+            acc = acc + apply_word(rep, t)
+        return acc
+    if kind is ex.Commutator or kind is ex.Anticommutator:
         left = apply_word(rep, e.left)
         right = apply_word(rep, e.right)
-        return left @ right - right @ left
-    if isinstance(e, ex.Anticommutator):
-        left = apply_word(rep, e.left)
-        right = apply_word(rep, e.right)
+        if kind is ex.Commutator:
+            return left @ right - right @ left
         return left @ right + right @ left
+    if kind is ex.Proj:
+        if not (0 <= e.mu < rep.params.lam):
+            raise UnknownSymbol(f"P{e.mu} undefined for cyclic order {rep.params.lam}")
+        return rep.projector(e.mu)
     raise UnknownSymbol(f"cannot evaluate {e!r}")
 
 

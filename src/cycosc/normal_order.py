@@ -38,6 +38,7 @@ from .params import AlgebraParams, root_power, root_table
 from .record import Record
 
 PRUNE_TOL = 1e-13
+_UNIT = 1.0 + 0.0j  # the coefficient of an ordered reordering core
 
 
 class NormalForm(Record):
@@ -64,13 +65,17 @@ class NormalForm(Record):
 
 
 def _pruned(lam: int, terms: dict) -> NormalForm:
-    """Drop the terms below PRUNE_TOL; a non-finite coefficient is kept, so callers can refuse it.
+    """The form of `terms` without its terms below PRUNE_TOL; a non-finite coefficient is kept.
 
+    Takes ownership of `terms`: the small keys are deleted in place and the
+    dict becomes the form's, so every caller passes a dict of its own.
     Finiteness is tested before `abs`: CPython's complex abs of a NaN leaves
     `errno` as an earlier C call set it, and may raise OverflowError from it.
     """
-    return NormalForm(lam, {k: v for k, v in terms.items()
-                            if not (cmath.isfinite(v) and abs(v) < PRUNE_TOL)})
+    small = [k for k, v in terms.items() if cmath.isfinite(v) and abs(v) < PRUNE_TOL]
+    for k in small:
+        del terms[k]
+    return NormalForm(lam, terms)
 
 
 def nf_zero(lam: int) -> NormalForm:
@@ -144,7 +149,7 @@ def _a_times_adpow(lam: int, kappa: tuple, p: int) -> tuple:
 def _reorder_core(lam: int, kappa: tuple, q: int, p: int) -> tuple:
     """Normal form of a^q (a+)^p as a tuple of ((p,q,r), coeff)."""
     if q == 0 or p == 0:  # ordered already: recursing q levels deep gives the same 1.0 + 0.0j
-        return (((p, q, 0), 1.0 + 0.0j),)
+        return (((p, q, 0), _UNIT),)
     terms = {}
     for (pp, qq, rr), c in _reorder_core(lam, kappa, q - 1, p):
         for (p2, q2, r2), c2 in _a_times_adpow(lam, kappa, pp):
@@ -167,9 +172,25 @@ def _mul(x: NormalForm, y: NormalForm, lam: int, kappa: tuple) -> NormalForm:
     """`nf_mul` over (lam, kappa) without the order check.
 
     Each reordering core a^q1 (a+)^p2 is fetched from its cache once per
-    product, however many term pairs share it.
+    product, however many term pairs share it.  One term times one term
+    fetches no core when q1 or p2 is 0: that core is the single term
+    (p2, q1, 0) with coefficient 1, applied below with the loop's operations.
     """
     xs = root_table(lam)
+    if len(x.terms) == 1 and len(y.terms) == 1:
+        [((p1, q1, r1), c1)] = x.terms.items()
+        [((p2, q2, r2), c2)] = y.terms.items()
+        base = c1 * c2 * xs[r1 * (q2 - p2) % lam]
+        if q1 and p2:
+            out = {}
+            for (pc, qc, rc), cc in _reorder_core(lam, kappa, q1, p2):
+                key = (p1 + pc, qc + q2, (rc + r1 + r2) % lam)
+                out[key] = out.get(key, 0.0) + base * cc * xs[rc * q2 % lam]
+            return _pruned(lam, out)
+        c = 0.0 + base * _UNIT * xs[0]
+        if cmath.isfinite(c) and abs(c) < PRUNE_TOL:
+            return NormalForm(lam, {})
+        return NormalForm(lam, {(p1 + p2, q1 + q2, (r1 + r2) % lam): c})
     ys = y.terms.items()
     cores = {}
     out = {}
@@ -213,6 +234,7 @@ def nf_power(x: NormalForm, n: int, params: AlgebraParams) -> NormalForm:
 
 
 _GENERATORS = {"a": (0, 1, 0), "ad": (1, 0, 0), "K": (0, 0, 1)}  # kind -> (p, q, r)
+_ORDER_RANK = {"ad": 0, "a": 1, "K": 2}  # the generators' places in a normal-ordered word
 
 
 def nf_adjoint(x: NormalForm, params: AlgebraParams) -> NormalForm:
@@ -265,49 +287,82 @@ def _number_form(params: AlgebraParams) -> NormalForm:
     return _pruned(lam, terms)
 
 
+def _ordered_monomial(factors) -> tuple | None:
+    """(p, q, r) of a product of generators and their powers in normal order, else None.
+
+    Normal order is every a+ factor, then every a, then every K.  Multiplying
+    such a chain moves no a past an a+ and no K past either, so each product
+    in it has coefficient exactly 1 and the chain is one monomial.
+    """
+    p = q = r = rank = 0
+    for f in factors:
+        kind = type(f)
+        if kind is ex.Atom:
+            name, n = f.kind, 1
+        elif kind is ex.Power and type(f.base) is ex.Atom:
+            name, n = f.base.kind, f.exponent
+        else:
+            return None
+        step = _ORDER_RANK.get(name)
+        if step is None or step < rank:
+            return None
+        rank = step
+        gp, gq, gr = _GENERATORS[name]
+        p, q, r = p + n * gp, q + n * gq, r + n * gr
+    return p, q, r
+
+
 def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
-    """Canonical expansion of an expression tree (total on valid input)."""
+    """Canonical expansion of an expression tree (total on valid input).
+
+    Dispatches on the exact node type, products first.
+    """
     lam = params.lam
-    match e:
-        case ex.Atom(kind) if kind in _GENERATORS:
-            return nf_monomial(lam, *_GENERATORS[kind])
-        case ex.Atom("I"):
+    kind = type(e)
+    if kind is ex.Product:
+        factors = e.factors
+        ordered = _ordered_monomial(factors)
+        if ordered is not None:
+            return nf_monomial(lam, *ordered)
+        acc = normal_form(factors[0], params)
+        for f in factors[1:]:
+            acc = _mul(acc, normal_form(f, params), lam, params.kappa)
+        return acc
+    if kind is ex.Atom:
+        name = e.kind
+        if name in _GENERATORS:
+            return nf_monomial(lam, *_GENERATORS[name])
+        if name == "I":
             return nf_monomial(lam, 0, 0, 0)
-        case ex.Atom("N"):
+        if name == "N":
             return _number_form(params)
-        case ex.Atom(kind):
-            raise UnknownSymbol(f"unknown atom {kind!r}")
-        case ex.Proj(mu):
-            if not (0 <= mu < lam):
-                raise UnknownSymbol(f"P{mu} undefined for cyclic order {lam}")
-            return _projector_form(params, mu)
-        case ex.Scalar(value):
-            return _pruned(lam, {(0, 0, 0): complex(value)})
-        case ex.Sum(terms):
-            acc = dict(normal_form(terms[0], params).terms)
-            for t in terms[1:]:
-                accumulate(acc, normal_form(t, params).terms)
-            return NormalForm(lam, acc)
-        case ex.Product(factors):
-            acc = normal_form(factors[0], params)
-            for f in factors[1:]:
-                acc = _mul(acc, normal_form(f, params), lam, params.kappa)
-            return acc
-        case ex.Power(ex.Atom(kind), exponent) if kind in _GENERATORS:
-            # a power of one generator moves no a past an a+ and no K past either:
-            # every product of the chain has coefficient exactly 1
-            p, q, r = _GENERATORS[kind]
-            return nf_monomial(lam, exponent * p, exponent * q, exponent * r)
-        case ex.Power(base, exponent):
-            return nf_power(normal_form(base, params), exponent, params)
-        case ex.Commutator(left, right) | ex.Anticommutator(left, right):
-            # LR - RL or LR + RL, summed into the fresh dict of LR
-            lf = normal_form(left, params)
-            rf = normal_form(right, params)
-            out = _mul(lf, rf, lam, params.kappa).terms
-            scale = -1.0 + 0.0j if type(e) is ex.Commutator else None
-            accumulate(out, _mul(rf, lf, lam, params.kappa).terms, scale)
-            return NormalForm(lam, out)
+        raise UnknownSymbol(f"unknown atom {name!r}")
+    if kind is ex.Power:
+        ordered = _ordered_monomial((e,))  # a power of one generator
+        if ordered is not None:
+            return nf_monomial(lam, *ordered)
+        return nf_power(normal_form(e.base, params), e.exponent, params)
+    if kind is ex.Scalar:
+        return _pruned(lam, {(0, 0, 0): complex(e.value)})
+    if kind is ex.Sum:
+        terms = e.terms
+        acc = dict(normal_form(terms[0], params).terms)
+        for t in terms[1:]:
+            accumulate(acc, normal_form(t, params).terms)
+        return NormalForm(lam, acc)
+    if kind is ex.Commutator or kind is ex.Anticommutator:
+        # LR - RL or LR + RL, summed into the fresh dict of LR
+        lf = normal_form(e.left, params)
+        rf = normal_form(e.right, params)
+        out = _mul(lf, rf, lam, params.kappa).terms
+        scale = -1.0 + 0.0j if kind is ex.Commutator else None
+        accumulate(out, _mul(rf, lf, lam, params.kappa).terms, scale)
+        return NormalForm(lam, out)
+    if kind is ex.Proj:
+        mu = e.mu
+        if not (0 <= mu < lam):
+            raise UnknownSymbol(f"P{mu} undefined for cyclic order {lam}")
+        return _projector_form(params, mu)
     raise UnknownSymbol(f"cannot expand {e!r}")
 
 

@@ -90,6 +90,15 @@ def test_nf_syntax_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_an_expression_that_starts_with_a_minus_follows_a_double_dash(capsys):
+    """argparse reads a leading '-' as an option; after '--' every argument is positional."""
+    code, out, err = run(capsys, "nf", "--lambda", "2", "--", "-a")
+    assert (code, out, err) == (0, "-1 a\n", "")
+    code, out, err = run(capsys, "nf", "-a", "--lambda", "2")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: expr" in err
+
+
 def test_spectrum_text(capsys):
     code, out, _ = run(
         capsys, "spectrum", "--lambda", "2", "--alpha", "0.5,-0.5", "--dim", "16"

@@ -1,5 +1,9 @@
 import cmath
 import itertools
+import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,9 @@ from cycosc.cli import main
 from cycosc.errors import NegativePower, ParseError
 from cycosc.expr import creation_weight, parse, to_source
 from cycosc.params import validate_alpha
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's word pool)
 
 
 def test_commutator_of_power():
@@ -282,6 +289,16 @@ def test_unknown_character_position(text, pos, char):
     assert str(info.value) == f"unexpected character {char!r} (at position {pos})"
 
 
+@pytest.mark.parametrize("node", ["a", ("atom", "a"), 3, None, [ex.A],
+                                  ex.Sum((ex.A, "ad")), ex.Power("a", 2)])
+def test_a_non_node_is_a_type_error_to_the_tree_walkers(node):
+    """creation_weight and to_source dispatch on the exact node type; anything else is refused."""
+    with pytest.raises(TypeError, match="not an operator expression"):
+        creation_weight(node)
+    with pytest.raises(TypeError, match="not an operator expression"):
+        to_source(node)
+
+
 def test_nodes_compare_and_hash_by_type_and_fields():
     assert ex.Sum((ex.A, ex.AD)) != ex.Product((ex.A, ex.AD))
     assert ex.Commutator(ex.A, ex.AD) != ex.Anticommutator(ex.A, ex.AD)
@@ -295,3 +312,98 @@ def test_nodes_compare_and_hash_by_type_and_fields():
             pass
         case other:
             pytest.fail(f"no class pattern matched {other!r}")
+
+
+# ---------------------------------------------------------------------------
+# the one-scan tokenizer against the per-match scanner it replaced
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+      | (?P<name>[A-Za-z]+\d*)
+      | (?P<punct>[+\-*^\[\]{}(),])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL | re.ASCII,
+)
+
+
+def _reference_tokens(text):
+    """Kinds, texts and starts from one match per token or whitespace run, closed by `end`."""
+    kinds, texts, starts = [], [], []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        token = m.group()
+        if kind == "punct":
+            kind = token
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {token!r}", m.start())
+        kinds.append(kind)
+        texts.append(token)
+        starts.append(m.start())
+    return kinds + ["end"], texts + [""], starts + [len(text)]
+
+
+def _outcome(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as err:
+        return str(err), err.pos
+
+
+_FRAGMENTS = ("a", "ad", "K", "N", "I", "P0", "P12", "Q", "1", "2.5", ".5e-3", "1.", "1e", "1e+",
+              "3E7", "07", "[", "]", "{", "}", "(", ")", ",", "+", "-", "*", "^", " ", "  ",
+              "\t", "\n", "\x0b", "\x0c", "\r", "\u00a0", "\u0663", "@", "$", ".", "\u00e9")
+
+
+def _fuzz_texts(rng, pool, count):
+    for _ in range(count):
+        if rng.random() < 0.5:
+            yield "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randrange(13)))
+        else:
+            chars = list(rng.choice(pool))
+            for _ in range(rng.randrange(1, 4)):
+                at = rng.randrange(len(chars) + 1)
+                if rng.random() < 0.3 and at < len(chars):
+                    del chars[at]
+                else:
+                    chars.insert(at, rng.choice(_FRAGMENTS))
+            yield "".join(chars)
+
+
+def test_tokenizer_matches_the_per_match_scanner():
+    """Kinds, texts, starts and every ParseError over the benchmark words and a seeded fuzz."""
+    pool = [text for seed in (1, 2, 3) for _, _, text in workloads.nf_pool(seed)]
+    fuzz = list(_fuzz_texts(random.Random(20261020), pool, 6000))
+    errors = 0
+    for text in pool + fuzz:
+        want = _outcome(_reference_tokens, text)
+        got = _outcome(ex._tokenize, text)
+        if isinstance(want[0], str):  # (message, position)
+            errors += 1
+            assert got == want, text
+            assert _outcome(ex._token_starts, text) == want, text
+        else:
+            assert ([ex._token_kind(t) for t in got], got, ex._token_starts(text)) == want, text
+    assert 1000 < errors < len(fuzz)  # the fuzz reaches both outcomes
+
+
+@pytest.mark.parametrize("text, error", [
+    ("a + * b", ParseError("unexpected token '*'", 4)),
+    ("[a, ad", ParseError("expected ']', found 'end of input'", 6)),
+    ("a^x", ParseError("exponent must be an integer", 2)),
+    ("a^ 1.5", ParseError("exponent must be an integer", 3)),
+    ("a  Q", ParseError("unknown atom 'Q'", 3)),
+    ("{a ad}", ParseError("expected ',', found '}'", 5)),
+    ("  [ad, a] ]", ParseError("trailing input ']'", 10)),
+    ("P1 + -", ParseError("unexpected token 'end of input'", 6)),
+    ("ad^-2", NegativePower("negative power at position 4")),
+    ("a\t+ ad^---2", NegativePower("negative power at position 10")),
+])
+def test_parser_errors_point_at_their_token(text, error):
+    """Positions are found again only when an error is raised; they are the tokens' starts."""
+    with pytest.raises(type(error)) as info:
+        parse(text)
+    assert str(info.value) == str(error)

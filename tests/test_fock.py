@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cycosc import expr as ex
 from cycosc.errors import DimTooSmall, EmptyWindow, NegativeLevel, UnknownSymbol
 from cycosc.expr import parse
 from cycosc.fock import (
@@ -19,6 +20,7 @@ from cycosc.fock import (
     structure_function,
     window_residual,
 )
+from cycosc.normal_order import normal_form
 from cycosc.params import validate_alpha
 
 from conftest import bits, dense, random_valid_alpha
@@ -314,3 +316,13 @@ def test_grade_table_rows_are_the_literal_products_bit_for_bit(lam, rng):
             for r in range(lam):
                 literal = term @ rep.matrix_power("K", r) if r else term
                 assert bits(table[r]) == bits(literal.bands[p - q])
+
+
+@pytest.mark.parametrize("node", ["a", ("atom", "a"), 3, None, [ex.A], ex.Product((ex.A, "ad"))])
+def test_a_non_node_is_an_unknown_symbol_to_both_evaluators(node):
+    """apply_word and normal_form dispatch on the exact node type; anything else is refused."""
+    params = validate_alpha(2, (0.5, -0.5))
+    with pytest.raises(UnknownSymbol):
+        apply_word(build_rep(params, 8), node)
+    with pytest.raises(UnknownSymbol):
+        normal_form(node, params)

@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycosc import expr as ex
+from cycosc import normal_order
 from cycosc.errors import BadRange, LambdaMismatch
 from cycosc.expr import parse
 from cycosc.fock import Banded, apply_word, build_rep, safe_window, window_residual
@@ -505,3 +507,130 @@ def test_sums_and_brackets_reduce_as_the_chained_arithmetic_does(params_l3, text
 
     tree = parse(text)
     _same_bits(normal_form(tree, params_l3), reference(tree))
+
+
+# ---------------------------------------------------------------------------
+# the one-term product and the ordered-generator monomial against the general loop
+
+
+def _reference_mul(x, y, params):
+    """The general product loop of `_mul`: every term pair, then a prune of the whole dict."""
+    lam, kappa = params.lam, params.kappa
+    xs = [root_power(lam, j) for j in range(lam)]
+    out = {}
+    for (p1, q1, r1), c1 in x.terms.items():
+        for (p2, q2, r2), c2 in y.terms.items():
+            base = c1 * c2 * xs[r1 * (q2 - p2) % lam]
+            for (pc, qc, rc), cc in normal_order._reorder_core(lam, kappa, q1, p2):
+                key = (p1 + pc, qc + q2, (rc + r1 + r2) % lam)
+                out[key] = out.get(key, 0.0) + base * cc * xs[rc * q2 % lam]
+    return _reference_pruned(lam, out)
+
+
+_PARAMS = {lam: validate_alpha(lam, (0.25,) + (0.0,) * (lam - 2) + (-0.25,)) for lam in range(2, 9)}
+_GRADES = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+_GENERATOR_GRADES = {"ad": (1, 0, 0), "a": (0, 1, 0), "K": (0, 0, 1)}
+_GENERATOR_FACTORS = st.tuples(st.sampled_from(sorted(_GENERATOR_GRADES)), st.integers(0, 6),
+                               st.booleans())  # (kind, exponent, written as a bare atom)
+
+
+@settings(max_examples=600, deadline=None)
+@given(lam=st.integers(2, 8), x=_GRADES, y=_GRADES, c1=_COEFFS, c2=_COEFFS)
+@example(lam=3, x=(0, 2, 1), y=(3, 0, 2), c1=complex(-0.0, -0.0), c2=complex(1.0, -0.0))
+@example(lam=5, x=(1, 0, 4), y=(0, 6, 3), c1=complex(5e-324, 1e308), c2=complex(math.inf, 0.0))
+def test_one_term_products_match_the_general_loop_bit_for_bit(lam, x, y, c1, c2):
+    """One term times one term, ordered or reordered, keeps the loop's operations and prune.
+
+    A finite coefficient too large for `abs` raises OverflowError from the
+    prune; the branch must raise it where the loop does.
+    """
+    params = _PARAMS[lam]
+    left = NormalForm(lam, {(x[0], x[1], x[2] % lam): c1})
+    right = NormalForm(lam, {(y[0], y[1], y[2] % lam): c2})
+    try:
+        want = _reference_mul(left, right, params)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            nf_mul(left, right, params)
+        return
+    _same_bits(nf_mul(left, right, params), want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lam=st.integers(2, 8), factors=st.lists(_GENERATOR_FACTORS, min_size=2, max_size=5))
+def test_generator_products_match_the_chained_loop_bit_for_bit(lam, factors):
+    """A product of generators and their powers, in normal order or not, is the chain of loops."""
+    params = _PARAMS[lam]
+    tree = ex.Product(tuple(ex.Atom(kind) if bare and n == 1 else ex.Power(ex.Atom(kind), n)
+                            for kind, n, bare in factors))
+    forms = [nf_monomial(lam, *(n * g for g in _GENERATOR_GRADES[kind])) for kind, n, _ in factors]
+    want = forms[0]
+    for form in forms[1:]:
+        want = _reference_mul(want, form, params)
+    _same_bits(normal_form(tree, params), want)
+    ranks = [("ad", "a", "K").index(kind) for kind, _, _ in factors]
+    if ranks == sorted(ranks):
+        assert bits(want.terms.values()) == bits([1.0 + 0.0j])
+
+
+# ---------------------------------------------------------------------------
+# no operation changes the terms of a form it is given
+
+
+def _snapshot(terms: dict):
+    return list(terms), bits(terms.values())
+
+
+def _keeps_its_inputs(fn, owned=0):
+    """`fn` checked on every call: each form or dict it is given, past the first `owned`
+    arguments, stays as it was, and none is the result's."""
+    def checked(*args):
+        given_in = [a.terms if isinstance(a, NormalForm) else a for a in args[owned:]
+                    if isinstance(a, (NormalForm, dict))]
+        before = [_snapshot(d) for d in given_in]
+        out = fn(*args)
+        assert [_snapshot(d) for d in given_in] == before
+        if isinstance(out, NormalForm):
+            assert all(out.terms is not d for d in given_in)
+        return out
+
+    return checked
+
+
+_L3 = validate_alpha(3, (0.3, 0.2, -0.5))
+_ATOMS = [ex.A, ex.AD, ex.KLEIN, ex.NUM, ex.ONE, ex.Proj(0), ex.Proj(2)]
+_LEAVES = st.one_of(st.sampled_from(_ATOMS), _COEFFS.map(ex.Scalar))
+_TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, min_size=2, max_size=3).map(lambda t: ex.Sum(tuple(t))),
+    st.lists(inner, min_size=2, max_size=3).map(lambda f: ex.Product(tuple(f))),
+    st.tuples(inner, st.integers(0, 5)).map(lambda b: ex.Power(*b)),
+    st.tuples(inner, inner).map(lambda lr: ex.Commutator(*lr)),
+    st.tuples(inner, inner).map(lambda lr: ex.Anticommutator(*lr)),
+), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_FORMS, y=_FORMS, c=_COEFFS)
+def test_sums_scales_and_products_leave_their_operands_unchanged(x, y, c):
+    """`_pruned` owns the dict it is given; no public operation hands it an operand's terms."""
+    want_x, want_y = _snapshot(x.terms), _snapshot(y.terms)
+    for op in (nf_add, nf_sub, lambda x, y: nf_scale(x, c), lambda x, y: nf_mul(x, y, _L3),
+               lambda x, y: nf_mul(y, x, _L3)):
+        try:
+            got = op(x, y)
+        except OverflowError:  # a finite coefficient too large for `abs`
+            got = None
+        assert _snapshot(x.terms) == want_x and _snapshot(y.terms) == want_y
+        assert got is None or (got.terms is not x.terms and got.terms is not y.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_TREES)
+def test_normal_form_leaves_the_forms_it_combines_unchanged(tree):
+    with mock.patch.object(normal_order, "_mul", _keeps_its_inputs(normal_order._mul)), \
+         mock.patch.object(normal_order, "accumulate", _keeps_its_inputs(accumulate, owned=1)):
+        try:
+            got = normal_form(tree, _L3)
+        except OverflowError:  # a finite coefficient too large for `abs`
+            return
+    _same_bits(normal_form(tree, _L3), got)
