@@ -43,17 +43,13 @@ from .fock import (
     spectrum,
     spectrum_closed_form,
     structure_function,
-    window_residual,
 )
 from .identities import IdentityCheck, run_suite, virasoro_sign
 from .normal_order import (
-    BetaTower,
     NormalForm,
     beta_closed_form,
-    beta_oracle,
     geometric_f,
     nf_add,
-    nf_adjoint,
     nf_mul,
     nf_scale,
     nf_to_matrix,
@@ -74,7 +70,6 @@ __all__ = [
     "BadLength",
     "BadRange",
     "Banded",
-    "BetaTower",
     "CycoscError",
     "DimTooSmall",
     "EmptyWindow",
@@ -101,7 +96,6 @@ __all__ = [
     "alpha_from_kappa",
     "apply_word",
     "beta_closed_form",
-    "beta_oracle",
     "build_rep",
     "central_charge",
     "central_term",
@@ -109,7 +103,6 @@ __all__ = [
     "geometric_f",
     "kappa_from_alpha",
     "nf_add",
-    "nf_adjoint",
     "nf_mul",
     "nf_scale",
     "nf_to_matrix",
@@ -125,5 +118,5 @@ __all__ = [
     "to_source",
     "validate_alpha",
     "virasoro_sign",
-    "window_residual",
+    "winf_structure",
 ]

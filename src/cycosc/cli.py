@@ -247,7 +247,10 @@ def format_nf_json(nf: NormalForm) -> str:
 def cmd_nf(args) -> int:
     params = _resolve_params(args, _load_config(args))
     tree = parse(args.expr)
-    nf = normal_form(tree, params)
+    try:
+        nf = normal_form(tree, params)
+    except OverflowError as err:  # a finite coefficient whose modulus passes DBL_MAX
+        raise NotFinite(f"the normal form of {args.expr!r} overflows: {err}") from err
     if not all(cmath.isfinite(c) for c in nf.terms.values()):
         raise NotFinite(f"the normal form of {args.expr!r} has a non-finite coefficient")
     text = format_nf_json(nf) if args.format == "json" else format_nf_text(nf)

@@ -128,13 +128,9 @@ class Banded:
     __rmul__ = __mul__
 
     def power(self, n: int) -> Banded:
-        """self**n (n >= 0): x x for 2, (x x) x for 3, else squaring from the lowest bit."""
+        """self**n (n >= 0): (x x) x for 3, else squaring from the lowest bit (x x for 2)."""
         if n == 0:
             return Banded.identity(self.dim)
-        if n == 1:
-            return self
-        if n == 2:
-            return self @ self
         if n == 3:
             return (self @ self) @ self
         z = result = None
@@ -191,9 +187,6 @@ class FockRep(Record):
         self.mat_adag = mat_adag
         self.mat_h0 = mat_h0
         self._cache = {}  # matrix powers and grade tables, outside equality and repr
-
-    def projector(self, mu: int) -> Banded:
-        return self.mat_p[mu % self.params.lam]
 
     def atom_matrix(self, kind: str) -> Banded:
         table = {
@@ -329,7 +322,7 @@ def apply_word(rep: FockRep, e: ex.OperatorExpr) -> Banded:
     if kind is ex.Proj:
         if not (0 <= e.mu < rep.params.lam):
             raise UnknownSymbol(f"P{e.mu} undefined for cyclic order {rep.params.lam}")
-        return rep.projector(e.mu)
+        return rep.mat_p[e.mu]
     raise UnknownSymbol(f"cannot evaluate {e!r}")
 
 
@@ -346,18 +339,6 @@ def safe_window(rep: FockRep, exprs) -> SafeWindow:
             f"creation weight {weight} leaves no exact column at dim {rep.dim}"
         )
     return SafeWindow(0, hi)
-
-
-def window_residual(mat: Banded, window: SafeWindow, *scale: Banded) -> float:
-    """Max absolute entry of `mat` over the safe-window columns, relative to `scale`.
-
-    The maximum is divided by the largest window maximum of the `scale`
-    operands, floored at 1; with no operands it is the absolute maximum.
-    """
-    norm = 1.0
-    for op in scale:
-        norm = max(norm, op.window_max(window.lo, window.hi))
-    return mat.window_max(window.lo, window.hi) / norm
 
 
 def dump_matrices(rep: FockRep) -> dict:

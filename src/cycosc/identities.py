@@ -40,16 +40,9 @@ from typing import NamedTuple
 
 from . import expr as ex
 from .errors import EmptyWindow, IndexOutOfRealization, NotFinite, WrongLambda
-from .fock import (
-    Banded,
-    FockRep,
-    SafeWindow,
-    apply_word,
-    build_rep,
-    safe_window,
-    window_residual,
-)
+from .fock import Banded, FockRep, SafeWindow, apply_word, build_rep, safe_window
 from .normal_order import (
+    PRUNE_TOL,
     NormalForm,
     accumulate,
     beta_closed_form,
@@ -181,7 +174,9 @@ class _Dual:
 
     def _grade(self, rep: FockRep, mat: Banded, nf: NormalForm, window: SafeWindow) -> None:
         self.nf, self.window = nf, window
-        self.gate = window_residual(mat - nf_to_matrix(nf, rep), window, mat)
+        lo, hi = window.lo, window.hi
+        diff = mat - nf_to_matrix(nf, rep)
+        self.gate = diff.window_max(lo, hi) / max(1.0, mat.window_max(lo, hi))
         if not math.isfinite(self.gate):
             raise NotFinite(f"gate {self.gate} at dim {rep.dim}: the realization overflows")
 
@@ -404,15 +399,15 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
                 accumulate(rhs, kpoly_left_sum([(combined, m - l - 1, n - l - 1)], lam).terms)
         return NormalForm(lam, rhs)
 
-    res_oracle = d.against(assemble(tower.coeffs))
+    res_oracle = d.against(assemble(tower))
     res_closed = d.against(assemble([beta_closed_form(n - 1, m, l, params) for l in range(n)]))
 
     # direct tower validation: sum_l beta_l (a+)^{m-1-l} a^{n-1-l} == a^{n-1} (a+)^{m-1}
     tower_nf = kpoly_left_sum(
-        ((poly, m - 1 - l, n - 1 - l) for l, poly in enumerate(tower.coeffs[:m])), lam
+        ((poly, m - 1 - l, n - 1 - l) for l, poly in enumerate(tower[:m])), lam
     )
     prod_mat = rep.matrix_power("a", n - 1) @ rep.matrix_power("ad", m - 1)
-    res_tower = window_residual(prod_mat - nf_to_matrix(tower_nf, rep), d.window, prod_mat)
+    res_tower = _Dual.of_parts(rep, prod_mat, tower_nf, d.window).gate
 
     fitted = {"assembly_oracle_beta": res_oracle, "assembly_closed_beta": res_closed,
               "tower_matrix_residual": res_tower, "on_support": bool(on_support)}
@@ -596,7 +591,7 @@ def check_winf(params: AlgebraParams, dim: int) -> list:
             p, q = s + t - l - 1, m + n - l - 1
             if p >= 0 and q >= 0:
                 rows.append((poly, p, q))
-            elif any(abs(c) > 1e-13 for c in poly):
+            elif any(abs(c) > PRUNE_TOL for c in poly):
                 dropped += 1
         res_paper = d.against(kpoly_left_sum(rows, lam))
         fitted = {"on_ladder": bool(on_ladder), "dropped_terms": dropped}

@@ -53,9 +53,6 @@ class NormalForm(Record):
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def creation_weight(self) -> int:
-        return max((p for (p, _, _) in self.terms), default=0)
-
     def coefficient(self, p: int, q: int, r: int) -> complex:
         return self.terms.get((p, q, r), 0.0 + 0.0j)
 
@@ -76,10 +73,6 @@ def _pruned(lam: int, terms: dict) -> NormalForm:
     for k in small:
         del terms[k]
     return NormalForm(lam, terms)
-
-
-def nf_zero(lam: int) -> NormalForm:
-    return NormalForm(lam, {})
 
 
 def nf_monomial(lam: int, p: int, q: int, r: int, coeff=1.0) -> NormalForm:
@@ -237,18 +230,6 @@ _GENERATORS = {"a": (0, 1, 0), "ad": (1, 0, 0), "K": (0, 0, 1)}  # kind -> (p, q
 _ORDER_RANK = {"ad": 0, "a": 1, "K": 2}  # the generators' places in a normal-ordered word
 
 
-def nf_adjoint(x: NormalForm, params: AlgebraParams) -> NormalForm:
-    """Formal adjoint: conjugate coefficients, swap p<->q, invert K."""
-    lam = params.lam
-    out = {}
-    for (p, q, r), c in x.terms.items():
-        rr = (-r) % lam
-        phase = root_power(lam, rr * (p - q))
-        key = (q, p, rr)
-        out[key] = out.get(key, 0.0) + c.conjugate() * phase
-    return _pruned(lam, out)
-
-
 def nf_to_matrix(x: NormalForm, rep: FockRep) -> Banded:
     """Reconstruct the matrix sum_{p,q,r} c (a+)^p a^q K^r, term by sorted term.
 
@@ -370,15 +351,11 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
 # left-positioned K-polynomial helpers
 
 
-def kpoly_left_mul(poly, p: int, q: int, lam: int) -> NormalForm:
-    """Normal form of (sum_r poly[r] K^r) (a+)^p a^q with the poly on the left."""
-    return kpoly_left_sum([(poly, p, q)], lam)
-
-
 def kpoly_left_sum(rows, lam: int) -> NormalForm:
-    """Sum of `kpoly_left_mul(poly, p, q, lam)` over rows (poly, p, q) of distinct grades (p, q).
+    """Normal form of the sum of (sum_r poly[r] K^r) (a+)^p a^q over rows (poly, p, q).
 
-    Distinct grades share no term, so the rows fill one dict; chaining
+    Each poly sits on the left of its monomial.  The rows have distinct
+    grades (p, q), which share no term, so they fill one dict; chaining
     `nf_add` would copy and prune the growing sum once per row.
     """
     xs = root_table(lam)
@@ -434,23 +411,13 @@ def geometric_f(r: int, m: int, lam: int, sign: int = 1) -> complex:
     return acc
 
 
-class BetaTower(Record):
-    """Reordering coefficients of a^n (a+)^{m-1}.
+def beta_tower_raw(n: int, m: int, params: AlgebraParams) -> tuple:
+    """Reordering coefficients of a^n (a+)^{m-1} (n >= 0, m >= 1), read off the rewrite engine.
 
-    coeffs[l] is the K-polynomial (lam complex numbers, left-positioned)
-    multiplying (a+)^{m-1-l} a^{n-l}; coeffs[0] is exactly 1.
+    Item l of the tuple is the K-polynomial (lam complex numbers,
+    left-positioned) multiplying (a+)^{m-1-l} a^{n-l}, zero where that
+    monomial does not exist; item 0 is exactly 1.
     """
-
-    __slots__ = __match_args__ = ("n", "m", "coeffs")
-
-    def __init__(self, n: int, m: int, coeffs: tuple):
-        self.n = n
-        self.m = m
-        self.coeffs = coeffs  # one lam-tuple of complex numbers per l
-
-
-def beta_tower_raw(n: int, m: int, params: AlgebraParams) -> BetaTower:
-    """Tower for a^n (a+)^{m-1} without range restrictions (n >= 0, m >= 1)."""
     lam = params.lam
     nf = NormalForm(lam, dict(_reorder_core(lam, params.kappa, n, m - 1)))
     expected = {(m - 1 - l, n - l) for l in range(min(n, m - 1) + 1)}
@@ -464,14 +431,7 @@ def beta_tower_raw(n: int, m: int, params: AlgebraParams) -> BetaTower:
             coeffs.append((0j,) * lam)
         else:
             coeffs.append(left_read(nf, p, q))
-    return BetaTower(n=n, m=m, coeffs=tuple(coeffs))
-
-
-def beta_oracle(n: int, m: int, params: AlgebraParams) -> BetaTower:
-    """Tower coefficients read off the rewrite engine; the trusted source."""
-    if not (1 <= n <= m - 1):
-        raise BadRange(f"tower needs 1 <= n <= m-1, got n={n}, m={m}")
-    return beta_tower_raw(n, m, params)
+    return tuple(coeffs)
 
 
 # ---- literal closed-form candidates -----------------------------------------
@@ -498,26 +458,19 @@ class _KPoly(tuple):
     __rmul__ = __mul__
 
 
-def f_coefficient(r: int, m: int, lam: int, variant: str) -> complex:
-    """Candidate coefficient functions f_r for the single-mode identity.
-
-    variant: 'paper' pins f_1 = 1 and uses the geometric sum for r >= 2;
-    'geometric' uses the sum for every r; 'conjugate' flips the phase sign.
-    """
-    if variant == "paper":
-        return 1.0 + 0.0j if r == 1 else geometric_f(r, m, lam, 1)
-    if variant == "geometric":
-        return geometric_f(r, m, lam, 1)
-    if variant == "conjugate":
-        return geometric_f(r, m, lam, -1)
-    raise ValueError(f"unknown f variant {variant!r}")
-
-
 @lru_cache(maxsize=256)
 def f_kpoly(params: AlgebraParams, m: int, variant: str) -> tuple:
-    """F = sum_r f_r kappa_r K^r as a K-polynomial, built once per argument."""
-    rest = (f_coefficient(r, m, params.lam, variant) * params.kappa[r - 1]
-            for r in range(1, params.lam))
+    """F = sum_r f_r kappa_r K^r as a K-polynomial, built once per argument.
+
+    The candidate coefficients f_r of the single-mode identity, by variant:
+    'paper' pins f_1 = 1 and uses the geometric sum for r >= 2; 'geometric'
+    uses the sum for every r; 'conjugate' flips the phase sign.
+    """
+    if variant not in ("paper", "geometric", "conjugate"):
+        raise ValueError(f"unknown f variant {variant!r}")
+    sign = -1 if variant == "conjugate" else 1
+    rest = ((1.0 + 0.0j if variant == "paper" and r == 1 else geometric_f(r, m, params.lam, sign))
+            * params.kappa[r - 1] for r in range(1, params.lam))
     return (0j, *rest)
 
 

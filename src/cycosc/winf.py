@@ -213,8 +213,3 @@ def dual_readings(i: int, j: int, l: int, m: int, n: int) -> dict:
     for reading in PHI_READINGS:
         table[f"phi_{reading}"] = phi_factor(i, j, l, reading)
     return table
-
-
-def classical_coefficient(s: int, m: int, t: int, n: int) -> int:
-    """Leading bracket coefficient (t-1) m - (s-1) n of the spin-s/t algebra."""
-    return (t - 1) * m - (s - 1) * n

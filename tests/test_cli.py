@@ -579,6 +579,16 @@ def test_nf_refuses_a_nan_coefficient_whatever_errno_holds(capsys, stale):
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_nf_names_a_coefficient_whose_modulus_overflows(capsys, fmt):
+    """Finite parts whose modulus passes DBL_MAX are refused as NotFinite, naming the input."""
+    code, out, err = run(capsys, "nf", "(1.5e308,1.5e308)", "--lambda", "2", "--format", fmt)
+    assert code == 2
+    reason = "overflows: absolute value too large"
+    assert err == f"error: the normal form of '(1.5e308,1.5e308)' {reason}\n"
+    assert out == ""
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 WRITER_LEAVES = (
     st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200) | FINITE

@@ -10,7 +10,6 @@ from cycosc.errors import DimTooSmall, EmptyWindow, NegativeLevel, UnknownSymbol
 from cycosc.expr import parse
 from cycosc.fock import (
     Banded,
-    SafeWindow,
     apply_word,
     build_rep,
     dump_matrices,
@@ -18,7 +17,6 @@ from cycosc.fock import (
     spectrum,
     spectrum_closed_form,
     structure_function,
-    window_residual,
 )
 from cycosc.normal_order import normal_form
 from cycosc.params import validate_alpha
@@ -120,7 +118,7 @@ def test_apply_word_canonical_bracket(params_plain):
     rep = build_rep(params_plain, 12)
     mat = apply_word(rep, parse("a ad - ad a"))
     window = safe_window(rep, [parse("a ad - ad a")])
-    assert window_residual(mat - Banded.identity(12), window) < 1e-12
+    assert (mat - Banded.identity(12)).window_max(window.lo, window.hi) < 1e-12
 
 
 def test_apply_word_klein_cycle(params_l3):
@@ -154,33 +152,6 @@ def test_safe_window_examples(params_l2):
     casimir = parse("(ad a)^2 - 0.5*{ad^2 a, a}")
     win = safe_window(rep32, [casimir])
     assert (win.lo, win.hi) == (0, 29)
-
-
-def _random_band(rng, dim):
-    """A Banded of up to three random diagonals at a random magnitude, zero off the matrix."""
-    bands = {}
-    for offset in rng.choice(np.arange(1 - dim, dim), size=min(3, 2 * dim - 1), replace=False):
-        vec = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.uniform(-3, 3)
-        rows = np.arange(dim) + offset
-        vec[(rows < 0) | (rows >= dim)] = 0.0
-        bands[int(offset)] = vec
-    return Banded(dim, bands)
-
-
-@pytest.mark.parametrize("count", [0, 1, 2])
-def test_window_residual_divides_by_the_largest_scale_operand(count):
-    """window_residual(mat, w, *ops) is max|mat| / max(1, max|op|), both over w's columns."""
-    rng = np.random.default_rng(count)
-    for _ in range(50):
-        dim = int(rng.integers(1, 10))
-        lo, hi = sorted(int(j) for j in rng.integers(0, dim, size=2))
-        mat, *ops = (_random_band(rng, dim) for _ in range(1 + count))
-
-        def dense_max(band):  # Python's complex abs, as the banded maximum takes it
-            return max(abs(complex(v)) for v in dense(band)[:, lo : hi + 1].ravel())
-
-        expected = dense_max(mat) / max([1.0, *(dense_max(op) for op in ops)])
-        assert window_residual(mat, SafeWindow(lo, hi), *ops) == expected
 
 
 def test_dump_matrices_roundtrip(params_l2):

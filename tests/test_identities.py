@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from cycosc.errors import (
     DimTooSmall, EmptyWindow, IndexOutOfRealization, NotFinite, WrongLambda,
 )
-from cycosc.fock import build_rep
-from cycosc.fock import SafeWindow
+from cycosc.fock import Banded, SafeWindow, build_rep
 from cycosc.identities import (
     SUITES,
     IdentityCheck,
+    _Dual,
     _verdict,
     check_basic,
     check_casimir,
@@ -25,6 +26,7 @@ from cycosc.identities import (
     run_suite,
     virasoro_sign,
 )
+from cycosc.normal_order import NormalForm, nf_to_matrix
 from cycosc.params import params_from_kappa, validate_alpha
 
 from conftest import dense, random_valid_alpha
@@ -460,6 +462,63 @@ def test_verdict_fails_a_non_finite_gate():
     assert _verdict("single.m1", window, float("nan"), 0.0).status == "fail"
     assert _verdict("single.m1", window, float("inf"), 0.0).status == "fail"
     assert _verdict("single.m1", window, 0.0, 0.0).status == "pass"
+
+
+def _random_band(rng, dim):
+    """A Banded of up to three random diagonals at a random magnitude, zero off the matrix."""
+    bands = {}
+    for offset in rng.choice(np.arange(1 - dim, dim), size=min(3, 2 * dim - 1), replace=False):
+        vec = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.uniform(-3, 3)
+        rows = np.arange(dim) + offset
+        vec[(rows < 0) | (rows >= dim)] = 0.0
+        bands[int(offset)] = vec
+    return Banded(dim, bands)
+
+
+@pytest.mark.parametrize("terms", [0, 1, 2])
+def test_dual_gate_divides_by_the_word_window_max(terms, params_l2):
+    """The gate is max|mat - nf| / max(1, max|mat|), both over the window's columns."""
+    rng = np.random.default_rng(terms)
+    for _ in range(50):
+        dim = int(rng.integers(4, 10))
+        rep = build_rep(params_l2, dim)
+        lo, hi = sorted(int(j) for j in rng.integers(0, dim, size=2))
+        mat = _random_band(rng, dim)
+        grades = [tuple(int(v) for v in rng.integers(0, [3, 3, 2])) for _ in range(terms)]
+        scales = 10.0 ** rng.uniform(-3, 3, terms)
+        nf = NormalForm(2, {g: complex(*rng.normal(size=2)) * c for g, c in zip(grades, scales)})
+
+        def dense_max(values):  # Python's complex abs, as the banded maximum takes it
+            return max(abs(complex(v)) for v in values[:, lo : hi + 1].ravel())
+
+        diff = dense(mat) - dense(nf_to_matrix(nf, rep))
+        expected = dense_max(diff) / max(1.0, dense_max(dense(mat)))
+        assert _Dual.of_parts(rep, mat, nf, SafeWindow(lo, hi)).gate == expected
+
+
+def test_dual_gate_floors_at_one_and_refuses_a_nan_scale(params_l2):
+    rep = build_rep(params_l2, 4)
+    empty = NormalForm(2, {})
+    small = Banded(4, {0: (0.25 + 0j,) * 4})
+    assert _Dual.of_parts(rep, small, empty, SafeWindow(0, 3)).gate == 0.25
+    # a NaN in the window makes the word's maximum NaN, floored to 1, and the gate NaN
+    nan = Banded(4, {0: (0.5 + 0j, 0j, 0j, complex(math.nan, 0.0))})
+    with pytest.raises(NotFinite, match=r"^gate nan at dim 4"):
+        _Dual.of_parts(rep, nan, empty, SafeWindow(0, 3))
+    assert _Dual.of_parts(rep, nan, empty, SafeWindow(0, 2)).gate == 0.5
+
+
+def test_a_non_finite_tower_gate_is_refused_naming_its_check(monkeypatch, params_l2):
+    """A general check grades its tower as a `_Dual`, whose non-finite gate is not graded."""
+    real = _Dual.of_parts.__func__
+
+    def of_parts(cls, rep, mat, nf, window):
+        nan = Banded(rep.dim, {0: (complex(math.nan, 0.0),) * rep.dim})
+        return real(cls, rep, mat + nan, nf, window)
+
+    monkeypatch.setattr(_Dual, "of_parts", classmethod(of_parts))
+    with pytest.raises(NotFinite, match=r"^general\.n1\.m1: gate nan at dim 16"):
+        run_suite(params_l2, 16, ("general",))
 
 
 @pytest.mark.parametrize("res_paper", [float("nan"), float("inf")])

@@ -13,20 +13,19 @@ from cycosc import expr as ex
 from cycosc import normal_order
 from cycosc.errors import BadRange, LambdaMismatch
 from cycosc.expr import parse
-from cycosc.fock import Banded, apply_word, build_rep, safe_window, window_residual
+from cycosc.fock import Banded, apply_word, build_rep, safe_window
 from cycosc.normal_order import (
     PRUNE_TOL,
     NormalForm,
     accumulate,
     beta_closed_form,
-    beta_oracle,
     beta_tower_raw,
+    f_kpoly,
     geometric_f,
-    kpoly_left_mul,
+    kpoly_left_sum,
     kpoly_mul,
     left_read,
     nf_add,
-    nf_adjoint,
     nf_monomial,
     nf_mul,
     nf_power,
@@ -73,7 +72,8 @@ def test_engine_matches_matrix_on_bracket(params_l2):
     rep = build_rep(params_l2, 16)
     e = parse("[a, ad^2]")
     diff = nf_to_matrix(normal_form(e, params_l2), rep) - apply_word(rep, e)
-    assert window_residual(diff, safe_window(rep, [e])) < 1e-12
+    win = safe_window(rep, [e])
+    assert diff.window_max(win.lo, win.hi) < 1e-12
 
 
 def test_engine_matches_matrix_random_words(rng):
@@ -89,7 +89,7 @@ def test_engine_matches_matrix_random_words(rng):
             nf = normal_form(word, params)
             diff = nf_to_matrix(nf, rep) - apply_word(rep, word)
             win = safe_window(rep, [word])
-            assert window_residual(diff, win) < 1e-8
+            assert diff.window_max(win.lo, win.hi) < 1e-8
             cases += 1
     assert cases >= 100
 
@@ -99,7 +99,8 @@ def test_engine_covers_mixed_atoms(params_l3):
     for text in ("N K a", "P1 ad a", "[N, ad^2]", "{K, a ad}", "(a + ad)^3"):
         e = parse(text)
         diff = nf_to_matrix(normal_form(e, params_l3), rep) - apply_word(rep, e)
-        assert window_residual(diff, safe_window(rep, [e])) < 1e-10
+        win = safe_window(rep, [e])
+        assert diff.window_max(win.lo, win.hi) < 1e-10
 
 
 def test_grading_of_pure_ladder_words(rng):
@@ -110,16 +111,39 @@ def test_grading_of_pure_ladder_words(rng):
             assert all(p - q == m - n for (p, q) in nf.support())
 
 
+_ADJOINT_ATOM = {"a": ex.AD, "ad": ex.A, "N": ex.NUM}
+
+
+def _adjoint_word(factors, lam):
+    """The adjoint of the word of generator powers `factors`, as a word of its own.
+
+    The factors are reversed, a and a+ swap, N stays, and K^k becomes
+    K^(k(lam-1)), the power of K^-1 that K^lam = 1 makes positive.
+    """
+    return ex.word(*(
+        ex.Power(ex.KLEIN, k * (lam - 1)) if atom is ex.KLEIN
+        else ex.Power(_ADJOINT_ATOM[atom.kind], k)
+        for atom, k in reversed(factors)
+    ))
+
+
 def test_hermiticity_via_matrices(rng):
+    """The normal-form matrix of a word's adjoint is the conjugate transpose of the word's."""
+    words = (
+        ((ex.A, 1), (ex.AD, 2), (ex.KLEIN, 1)),  # a ad^2 K
+        ((ex.KLEIN, 2), (ex.A, 2), (ex.AD, 1)),  # K^2 a a ad
+        ((ex.NUM, 1), (ex.AD, 1), (ex.KLEIN, 1)),  # N ad K
+    )
     for lam in (2, 3):
         params = validate_alpha(lam, random_valid_alpha(rng, lam))
         rep = build_rep(params, 18)
-        for text in ("a ad^2 K", "K^2 a a ad", "N ad K"):
-            nf = normal_form(parse(text), params)
-            adj = nf_adjoint(nf, params)
-            diff = dense(nf_to_matrix(adj, rep)) - dense(nf_to_matrix(nf, rep)).conj().T
+        for factors in words:
+            word = ex.word(*(ex.Power(atom, k) for atom, k in factors))
+            adj = _adjoint_word(factors, lam)
+            mat, adj_mat = (dense(nf_to_matrix(normal_form(e, params), rep)) for e in (word, adj))
+            diff = adj_mat - mat.conj().T
             # adjoint swaps the climb direction; stay away from the boundary
-            w = nf.creation_weight() + adj.creation_weight()
+            w = ex.creation_weight(word) + ex.creation_weight(adj)
             assert np.max(np.abs(diff[: 18 - w, : 18 - w])) < 1e-10
 
 
@@ -169,46 +193,54 @@ def test_geometric_sum_values():
     )
 
 
+def test_f_kpoly_builds_each_candidate_from_the_geometric_sum(rng):
+    """F's coefficient on K^r is f_r kappa_r: 'paper' pins f_1 = 1, 'conjugate' flips the sign."""
+    for lam in (2, 3, 5):
+        params = validate_alpha(lam, random_valid_alpha(rng, lam))
+        for m in range(1, 6):
+            for variant, sign in (("paper", 1), ("geometric", 1), ("conjugate", -1)):
+                f = [geometric_f(r, m, lam, sign) for r in range(lam)]
+                if variant == "paper":
+                    f[1] = 1.0 + 0.0j
+                want = [0j, *(f[r] * params.kappa[r - 1] for r in range(1, lam))]
+                assert bits(f_kpoly(params, m, variant)) == bits(want)
+    with pytest.raises(ValueError, match="unknown f variant"):
+        f_kpoly(params, 2, "printed")
+
+
 def test_beta_oracle_undeformed_spot(params_plain):
-    tower = beta_oracle(2, 3, params_plain)
-    values = [c[0].real for c in tower.coeffs]
+    tower = beta_tower_raw(2, 3, params_plain)
+    values = [c[0].real for c in tower]
     assert values == pytest.approx([1.0, 4.0, 2.0])
-    assert np.max(np.abs(tower.coeffs[0] - np.eye(2)[0])) < 1e-14  # beta_0 == 1
+    assert np.max(np.abs(tower[0] - np.eye(2)[0])) < 1e-14  # beta_0 == 1
 
 
 def test_beta_oracle_single_lowering(params_plain):
     # one lowering factor: the l = 1 coefficient is the mode count m - 1
     for m in (3, 5, 8):
-        tower = beta_oracle(1, m, params_plain)
-        assert tower.coeffs[1][0].real == pytest.approx(m - 1)
+        tower = beta_tower_raw(1, m, params_plain)
+        assert tower[1][0].real == pytest.approx(m - 1)
 
 
 def test_beta_oracle_matches_matrix(params_l2):
     rep = build_rep(params_l2, 24)
     n, m = 2, 4
-    tower = beta_oracle(n, m, params_l2)
+    tower = beta_tower_raw(n, m, params_l2)
     total = None
-    for l, poly in enumerate(tower.coeffs):
-        nf = kpoly_left_mul(poly, m - 1 - l, n - l, 2)
+    for l, poly in enumerate(tower):
+        nf = kpoly_left_sum([(poly, m - 1 - l, n - l)], 2)
         total = nf if total is None else nf_add(total, nf)
     product = rep.matrix_power("a", n) @ rep.matrix_power("ad", m - 1)
     win = safe_window(rep, [ex.word(ex.Power(ex.A, n), ex.Power(ex.AD, m - 1))])
-    assert window_residual(nf_to_matrix(total, rep) - product, win) < 1e-8
+    assert (nf_to_matrix(total, rep) - product).window_max(win.lo, win.hi) < 1e-8
 
 
 def test_beta_oracle_real_when_undeformed(params_plain):
     for n, m in [(1, 4), (2, 5), (3, 6)]:
-        tower = beta_oracle(n, m, params_plain)
-        for poly in tower.coeffs:
+        tower = beta_tower_raw(n, m, params_plain)
+        for poly in tower:
             assert max(abs(c.imag) for c in poly) < 1e-12
             assert max(map(abs, poly[1:])) < 1e-12  # no Klein admixture
-
-
-def test_beta_oracle_range_guard(params_l2):
-    with pytest.raises(BadRange):
-        beta_oracle(0, 3, params_l2)
-    with pytest.raises(BadRange):
-        beta_oracle(3, 3, params_l2)
 
 
 def test_closed_form_base_cases(params_l2, params_plain):
@@ -231,7 +263,7 @@ def test_closed_form_matches_oracle_undeformed_edges():
                 if l not in (0, 1, 2, 3, n - 1, n):
                     continue
                 closed = beta_closed_form(n, m, l, params)
-                assert max(map(abs, np.subtract(closed, tower.coeffs[l]))) < 1e-9, (n, m, l)
+                assert max(map(abs, np.subtract(closed, tower[l]))) < 1e-9, (n, m, l)
 
 
 def test_closed_form_deformed_comparison_is_recorded_shape(params_l2):
@@ -347,8 +379,8 @@ def _kpoly_mul_scalar(x, y, scale=1.0):
     return out
 
 
-def _kpoly_left_mul_scalar(poly, p, q, lam):
-    """kpoly_left_mul over numpy scalars."""
+def _kpoly_left_row_scalar(poly, p, q, lam):
+    """kpoly_left_sum of the one row (poly, p, q) over numpy scalars."""
     terms = {}
     for r, c in enumerate(np.asarray(poly, dtype=complex)):
         if abs(c) < PRUNE_TOL:
@@ -382,7 +414,8 @@ def test_kpoly_loops_equal_their_numpy_scalar_forms_bit_for_bit(lam, rng):
 
         p, q = (int(v) for v in rng.integers(0, 6, size=2))
         for poly in (x, [int(v) for v in rng.integers(-3, 4, size=lam)]):
-            got, want = kpoly_left_mul(poly, p, q, lam), _kpoly_left_mul_scalar(poly, p, q, lam)
+            got = kpoly_left_sum([(poly, p, q)], lam)
+            want = _kpoly_left_row_scalar(poly, p, q, lam)
             assert list(got.terms) == list(want.terms)
             assert bits(got.terms.values()) == bits(want.terms.values())
 

@@ -102,7 +102,11 @@ def test_every_changed_published_term_is_seen_at_every_dim(monkeypatch, lam, cou
 
 
 def test_nf_to_matrix_runs_once_per_dual_and_per_tower(monkeypatch):
-    """Published sides never become matrices: only gates call nf_to_matrix."""
+    """Published sides never become matrices: every nf_to_matrix call is a gate.
+
+    The tower of each `general` check is graded as a `_Dual` of its own, so
+    the suite's duals are its brackets and its towers.
+    """
     params = validate_alpha(5, ALPHAS[5])
     real_grade, real_to_matrix = _Dual._grade, identities.nf_to_matrix
     calls = {"duals": 0, "nf_to_matrix": 0}
@@ -120,7 +124,10 @@ def test_nf_to_matrix_runs_once_per_dual_and_per_tower(monkeypatch):
     checks = run_suite(params, 64)["checks"]
     towers = sum("tower_matrix_residual" in (c["fitted"] or {}) for c in checks)
     assert towers == 32
-    assert calls["nf_to_matrix"] == calls["duals"] + towers
+    assert calls["nf_to_matrix"] == calls["duals"]
+    calls.update(duals=0, nf_to_matrix=0)
+    run_suite(params, 64, ("general",))
+    assert calls == {"duals": 2 * towers, "nf_to_matrix": 2 * towers}  # a bracket and a tower
 
 
 @pytest.mark.parametrize("stale", [False, True])

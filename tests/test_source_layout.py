@@ -35,6 +35,20 @@ def test_json_output_has_one_writer():
     assert calls == []
 
 
+def test_exports_match_all():
+    """The names `cycosc/__init__.py` imports are the names of `__all__`, and each resolves."""
+    import cycosc
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) == len(set(imported))
+    assert set(imported) == set(cycosc.__all__)
+    assert len(cycosc.__all__) == len(set(cycosc.__all__))
+    for name in cycosc.__all__:
+        assert getattr(cycosc, name) is not None, name
+
+
 def _imports_of(package: str) -> list:
     """`file:line` of every import of `package` or one of its modules under src/."""
     imports = []

@@ -5,7 +5,6 @@ import pytest
 from cycosc.winf import (
     central_charge,
     central_term,
-    classical_coefficient,
     dual_readings,
     falling,
     mode_factor,
@@ -61,9 +60,8 @@ def test_alt_mode_factor_reproduces_classical_bracket():
                     expected = 2.0 * (m * (j + 1) - n * (i + 1))
                     assert mode_factor(i, j, 0, m, n, "alt") == pytest.approx(expected)
                     s, t = i + 2, j + 2
-                    assert expected == pytest.approx(
-                        2.0 * classical_coefficient(s, m, t, n)
-                    )
+                    # the classical coefficient (t-1) m - (s-1) n
+                    assert expected == pytest.approx(2.0 * ((t - 1) * m - (s - 1) * n))
 
 
 def test_dual_readings_run_over_grid():
@@ -101,7 +99,7 @@ def test_classical_family_satisfies_jacobi():
     ]
     for (s, m), (t, n), (u, p) in triples:
         def c(a, b):
-            return classical_coefficient(a[0], a[1], b[0], b[1])
+            return (b[0] - 1) * a[1] - (a[0] - 1) * b[1]  # (t-1) m - (s-1) n of [w^s_m, w^t_n]
 
         def comp(a, b):
             return (a[0] + b[0] - 2, a[1] + b[1])

@@ -18,7 +18,7 @@ from cycosc import identities
 from cycosc.errors import EmptyWindow, NotFinite
 from cycosc.fock import Banded
 from cycosc.identities import _Dual, _mono_expr, _rep, _verdict, _xi_side, check_winf, run_suite
-from cycosc.normal_order import kpoly_left_mul, nf_add, nf_scale, nf_zero
+from cycosc.normal_order import NormalForm, kpoly_left_sum, nf_add, nf_scale
 from cycosc.params import validate_alpha
 
 DIMS = (7, 13, 24, 64, 256)
@@ -39,7 +39,7 @@ def _reference(params, dim, s, m, t, n):
     polys = np.zeros((max(m, n), lam), dtype=complex)
     polys[:m] += np.array(_xi_side(params, s, m, t), dtype=complex).reshape(m, lam)
     polys[:n] -= np.array(_xi_side(params, t, n, s), dtype=complex).reshape(n, lam)
-    rhs_nf = nf_zero(lam)
+    rhs_nf = NormalForm(lam, {})
     dropped = 0
     for l, poly in enumerate(polys):
         p, q = s + t - l - 1, m + n - l - 1
@@ -47,7 +47,7 @@ def _reference(params, dim, s, m, t, n):
             if np.any(np.abs(poly) > 1e-13):
                 dropped += 1
             continue
-        rhs_nf = nf_add(rhs_nf, kpoly_left_mul(tuple(poly.tolist()), p, q, lam))
+        rhs_nf = nf_add(rhs_nf, kpoly_left_sum([(tuple(poly.tolist()), p, q)], lam))
     fitted = {"on_ladder": bool(on_ladder), "dropped_terms": dropped}
     return _verdict(f"winf.s{s}.m{m}.t{t}.n{n}", d.window, d.gate, d.against(rhs_nf),
                     fitted=fitted, ok=on_ladder)
