@@ -159,20 +159,9 @@ def _failed(check_id: str, err: Exception) -> IdentityCheck:
 
 
 class _Dual:
-    """One word evaluated by both oracles, and its oracle gate, on its safe window."""
+    """One word's matrix and normal form, and their oracle gate on the word's safe window."""
 
-    def __init__(self, rep: FockRep, e: ex.OperatorExpr):
-        # normal-form terms keep the word's net degree, so one window serves both oracles
-        self._grade(rep, apply_word(rep, e), normal_form(e, rep.params), safe_window(rep, [e]))
-
-    @classmethod
-    def of_parts(cls, rep: FockRep, mat: Banded, nf: NormalForm, window: SafeWindow) -> _Dual:
-        """The word whose matrix, normal form and safe window are already evaluated."""
-        d = cls.__new__(cls)
-        d._grade(rep, mat, nf, window)
-        return d
-
-    def _grade(self, rep: FockRep, mat: Banded, nf: NormalForm, window: SafeWindow) -> None:
+    def __init__(self, rep: FockRep, mat: Banded, nf: NormalForm, window: SafeWindow):
         self.nf, self.window = nf, window
         lo, hi = window.lo, window.hi
         diff = mat - nf_to_matrix(nf, rep)
@@ -183,6 +172,22 @@ class _Dual:
     def against(self, published: NormalForm | None) -> float:
         """Residual of the word against a published right side (see `_residual`)."""
         return _residual(self.nf, published)
+
+
+def _dual(rep: FockRep, e: ex.OperatorExpr) -> _Dual:
+    """`e` evaluated by both oracles on its safe window."""
+    # normal-form terms keep the word's net degree, so one window serves both oracles
+    return _Dual(rep, apply_word(rep, e), normal_form(e, rep.params), safe_window(rep, [e]))
+
+
+def _closes_on(d: _Dual, check_id: str, rows, fitted=None, ok=True) -> IdentityCheck:
+    """`d` graded against sum_rows poly (a+)^p a^q, each K-polynomial on the left of its monomial.
+
+    The one place where such a claim becomes a verdict.  The rows (poly, p, q)
+    have distinct grades; no rows is the claim that the bracket vanishes.
+    """
+    res_paper = d.against(kpoly_left_sum(rows, d.nf.lam))
+    return _verdict(check_id, d.window, d.gate, res_paper, fitted=fitted, ok=ok)
 
 
 def _residual(nf: NormalForm, published: NormalForm | None, floor: float = 1.0) -> float:
@@ -268,7 +273,7 @@ def check_basic(params: AlgebraParams, dim: int) -> list:
         worst_gate = 0.0
         windows = []
         for lhs, rhs in pairs:
-            d = _Dual(rep, lhs if rhs is None else ex.summed(lhs, ex.negated(rhs)))
+            d = _dual(rep, lhs if rhs is None else ex.summed(lhs, ex.negated(rhs)))
             published = None if rhs is None else normal_form(rhs, params)
             worst_paper = max(worst_paper, _residual(normal_form(lhs, params), published, floor))
             worst_gate = max(worst_gate, d.gate)
@@ -342,7 +347,7 @@ def check_single_mode(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
     """[a, (a+)^m] against the three candidate coefficient functions."""
     rep = _rep(params, dim)
     lam = params.lam
-    d = _Dual(rep, ex.Commutator(ex.A, ex.Power(ex.AD, m)))
+    d = _dual(rep, ex.Commutator(ex.A, ex.Power(ex.AD, m)))
 
     on_support = all((p, q) == (m - 1, 0) for (p, q) in d.nf.support())
 
@@ -378,7 +383,7 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
     """
     rep = _rep(params, dim)
     lam = params.lam
-    d = _Dual(rep, ex.Commutator(ex.Power(ex.A, n), ex.Power(ex.AD, m)))
+    d = _dual(rep, ex.Commutator(ex.Power(ex.A, n), ex.Power(ex.AD, m)))
 
     allowed = {(m - 1 - l, n - 1 - l) for l in range(min(n, m))}
     on_support = d.nf.support() <= allowed
@@ -407,7 +412,7 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
         ((poly, m - 1 - l, n - 1 - l) for l, poly in enumerate(tower[:m])), lam
     )
     prod_mat = rep.matrix_power("a", n - 1) @ rep.matrix_power("ad", m - 1)
-    res_tower = _Dual.of_parts(rep, prod_mat, tower_nf, d.window).gate
+    res_tower = _Dual(rep, prod_mat, tower_nf, d.window).gate
 
     fitted = {"assembly_oracle_beta": res_oracle, "assembly_closed_beta": res_closed,
               "tower_matrix_residual": res_tower, "on_support": bool(on_support)}
@@ -419,25 +424,13 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
 # deformed ladder (Virasoro-type) relations
 
 
-def _closes_on(d: _Dual, check_id: str, rows, fit) -> IdentityCheck:
-    """`d` graded against sum_rows poly (a+)^p a^q, each K-polynomial on the left of its monomial.
-
-    The rows (poly, p, q) have distinct grades.  `fit` gets the K-polynomials
-    that `d`'s normal form carries on those grades, read on the left, and
-    returns the fitted table.
-    """
-    fitted = fit(*(left_read(d.nf, p, q) for _, p, q in rows))
-    return _verdict(check_id, d.window, d.gate, d.against(kpoly_left_sum(rows, d.nf.lam)),
-                    fitted=fitted)
-
-
 def _ladder(params: AlgebraParams, dim: int, check_id: str, m: int, n: int, poly) -> IdentityCheck:
     """[l_m, l_n] against sigma (sum_r poly[r] K^r) l_{m+n}, the K-polynomial on the left."""
     sigma = virasoro_sign(params.lam)
-    d = _Dual(_rep(params, dim), ex.Commutator(_ell_expr(m), _ell_expr(n)))
-    rows = [(tuple(c * sigma for c in poly), m + n + 1, 1)]
-    return _closes_on(d, check_id, rows, lambda lead: {
-        "sigma": sigma, "lead": _c2(lead[0]), **_ktable(lead, "K", 1)})
+    d = _dual(_rep(params, dim), ex.Commutator(_ell_expr(m), _ell_expr(n)))
+    lead = left_read(d.nf, m + n + 1, 1)
+    fitted = {"sigma": sigma, "lead": _c2(lead[0]), **_ktable(lead, "K", 1)}
+    return _closes_on(d, check_id, [(tuple(c * sigma for c in poly), m + n + 1, 1)], fitted)
 
 
 def check_virasoro(params: AlgebraParams, dim: int, m: int, n: int) -> IdentityCheck:
@@ -448,9 +441,8 @@ def check_virasoro(params: AlgebraParams, dim: int, m: int, n: int) -> IdentityC
     lam = params.lam
     if m == n:
         # antisymmetry makes both sides zero
-        d = _Dual(_rep(params, dim), ex.Commutator(_ell_expr(m), _ell_expr(n)))
-        return _verdict(check_id, d.window, d.gate, d.against(None),
-                        fitted={"sigma": virasoro_sign(lam)})
+        d = _dual(_rep(params, dim), ex.Commutator(_ell_expr(m), _ell_expr(n)))
+        return _closes_on(d, check_id, [], {"sigma": virasoro_sign(lam)})
 
     poly = _kpoly(params, m - n, lambda k, r: k * (
         root_power(lam, -r * (n + 1)) - root_power(lam, -r * (m + 1))
@@ -468,7 +460,7 @@ def _klein(params: AlgebraParams, dim: int, check_id: str, generator, s: int, m:
     is reported with whether w commutes with K.
     """
     lam = params.lam
-    d = _Dual(_rep(params, dim), ex.Commutator(generator, ex.KLEIN))
+    d = _dual(_rep(params, dim), ex.Commutator(generator, ex.KLEIN))
     c_fit = d.nf.coefficient(s, m, 1)
     phase = 1.0 if shift is None else root_power(lam, shift)  # monomial: phase (a+)^s a^m K
     if shift is not None:
@@ -575,7 +567,7 @@ def check_winf(params: AlgebraParams, dim: int) -> list:
         xy_mat, xy_nf = x_mat @ y_mat, nf_mul(x_nf, y_nf, params)
         yx_mat, yx_nf = (xy_mat, xy_nf) if x == y else (y_mat @ x_mat, nf_mul(y_nf, x_nf, params))
         window = SafeWindow(0, dim - 1 - (monomials[x][0] + monomials[y][0]))
-        return _Dual.of_parts(rep, xy_mat - yx_mat, nf_sub(xy_nf, yx_nf), window)
+        return _Dual(rep, xy_mat - yx_mat, nf_sub(xy_nf, yx_nf), window)
 
     def graded(d: _Dual, x: int, y: int) -> IdentityCheck:
         """[w_x, w_y] graded on `d`, its `_Dual`, against Xi^(s,m) - Xi^(t,n) level by level."""
@@ -593,9 +585,8 @@ def check_winf(params: AlgebraParams, dim: int) -> list:
                 rows.append((poly, p, q))
             elif any(abs(c) > PRUNE_TOL for c in poly):
                 dropped += 1
-        res_paper = d.against(kpoly_left_sum(rows, lam))
         fitted = {"on_ladder": bool(on_ladder), "dropped_terms": dropped}
-        return _verdict(label(x, y), d.window, d.gate, res_paper, fitted=fitted, ok=on_ladder)
+        return _closes_on(d, label(x, y), rows, fitted, on_ladder)
 
     checks = []
     for x, y in combinations_with_replacement(range(16), 2):
@@ -631,9 +622,9 @@ def check_sp2(params: AlgebraParams, dim: int) -> list:
     checks = []
 
     def entry(check_id, s1, m1, s2, m2, rhs_poly, target_s, target_m):
-        d = _Dual(rep, ex.Commutator(_mono_expr(s1, m1), _mono_expr(s2, m2)))
-        rows = [(rhs_poly, target_s, target_m)]
-        checks.append(_closes_on(d, check_id, rows, lambda fit: _ktable(fit, "K")))
+        d = _dual(rep, ex.Commutator(_mono_expr(s1, m1), _mono_expr(s2, m2)))
+        fitted = _ktable(left_read(d.nf, target_s, target_m), "K")
+        checks.append(_closes_on(d, check_id, [(rhs_poly, target_s, target_m)], fitted))
 
     # [w^0_1, w^1_1] claimed [sum kappa_r K^r (1 - x) + 1] w^0_1
     poly = _kpoly(params, 1.0, lambda k, r: k * (1.0 - x))
@@ -659,14 +650,11 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
         ex.Power(ex.word(ex.AD, ex.A), 2),
         ex.scaled(-0.5, ex.Anticommutator(ex.word(ex.Power(ex.AD, 2), ex.A), ex.A)),
     )
-    b = _Dual(rep, ex.Commutator(c_expr, ex.word(ex.AD, ex.A)))
+    b = _dual(rep, ex.Commutator(c_expr, ex.word(ex.AD, ex.A)))
     if not params.is_deformed:
         # undeformed claims: C vanishes, and it is central on the triple, so [C, w^1_1] = 0
-        c = _Dual(rep, c_expr)
-        return [
-            _verdict("casimir.vanishing", c.window, c.gate, c.against(None)),
-            _verdict("casimir.bracket", b.window, b.gate, b.against(None)),
-        ]
+        c = _dual(rep, c_expr)
+        return [_closes_on(c, "casimir.vanishing", []), _closes_on(b, "casimir.bracket", [])]
 
     # published right side: first piece on (a+)^2 a^2, second on a+ a
     xs = partial(root_power, lam)
@@ -678,8 +666,8 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
     bracket_b = _kpoly(params, 1.0, lambda k, r: 0.5 * k * (1.0 + xs(r)))
     poly11 = kpoly_mul(bracket_a, bracket_b, 1.0 - x)
     rows = [(poly22, 2, 2), (poly11, 1, 1)]
-    return [_closes_on(b, "casimir.bracket", rows, lambda w22, w11: {
-        **_ktable(w22, "w22_K"), **_ktable(w11, "w11_K")})]
+    fitted = {**_ktable(left_read(b.nf, 2, 2), "w22_K"), **_ktable(left_read(b.nf, 1, 1), "w11_K")}
+    return [_closes_on(b, "casimir.bracket", rows, fitted)]
 
 
 # ---------------------------------------------------------------------------

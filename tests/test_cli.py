@@ -78,10 +78,25 @@ def test_nf_text_hides_round_off_relative_to_the_coefficient(capsys, alpha, k_li
 
 
 def test_commutator_sugar(capsys):
-    code_a, out_a, _ = run(capsys, "commutator", "a", "ad", "--lambda", "2", "--kappa", "0.5")
-    code_b, out_b, _ = run(capsys, "nf", "[a, ad]", "--lambda", "2", "--kappa", "0.5")
-    assert code_a == code_b == 0
-    assert out_a == out_b
+    """`commutator X Y` prints the bytes of `nf "[X, Y]"`, in both formats."""
+    for left, right in [("a", "ad"), ("a^2", "ad^3 + K"), ("[a, ad]", "P1")]:
+        for fmt in ("text", "json"):
+            flags = ["--lambda", "2", "--kappa", "0.5", "--format", fmt]
+            code_a, out_a, err_a = run(capsys, "commutator", left, right, *flags)
+            code_b, out_b, err_b = run(capsys, "nf", f"[{left}, {right}]", *flags)
+            assert (code_a, out_a, err_a) == (code_b, out_b, err_b) == (0, out_b, "")
+
+
+@pytest.mark.parametrize("left, right, message", [
+    # pasted into "[X, Y]" this read as [a, ad] + [ad, a]
+    ("a, ad] + [ad", "a", "left operand 'a, ad] + [ad': trailing input ',' (at position 1)"),
+    ("a", "ad^-1", "right operand 'ad^-1': negative power at position 4"),
+    ("a)", "ad", "left operand 'a)': trailing input ')' (at position 1)"),
+])
+def test_commutator_parses_each_operand_on_its_own(capsys, left, right, message):
+    """An operand must be a whole expression; an error names it and counts within it."""
+    code, out, err = run(capsys, "commutator", left, right, "--lambda", "2", "--kappa", "0.5")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_nf_syntax_error_exit_code(capsys):

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from cycosc import identities
 from cycosc.errors import (
     DimTooSmall, EmptyWindow, IndexOutOfRealization, NotFinite, WrongLambda,
 )
@@ -493,32 +495,86 @@ def test_dual_gate_divides_by_the_word_window_max(terms, params_l2):
 
         diff = dense(mat) - dense(nf_to_matrix(nf, rep))
         expected = dense_max(diff) / max(1.0, dense_max(dense(mat)))
-        assert _Dual.of_parts(rep, mat, nf, SafeWindow(lo, hi)).gate == expected
+        assert _Dual(rep, mat, nf, SafeWindow(lo, hi)).gate == expected
 
 
 def test_dual_gate_floors_at_one_and_refuses_a_nan_scale(params_l2):
     rep = build_rep(params_l2, 4)
     empty = NormalForm(2, {})
     small = Banded(4, {0: (0.25 + 0j,) * 4})
-    assert _Dual.of_parts(rep, small, empty, SafeWindow(0, 3)).gate == 0.25
+    assert _Dual(rep, small, empty, SafeWindow(0, 3)).gate == 0.25
     # a NaN in the window makes the word's maximum NaN, floored to 1, and the gate NaN
     nan = Banded(4, {0: (0.5 + 0j, 0j, 0j, complex(math.nan, 0.0))})
     with pytest.raises(NotFinite, match=r"^gate nan at dim 4"):
-        _Dual.of_parts(rep, nan, empty, SafeWindow(0, 3))
-    assert _Dual.of_parts(rep, nan, empty, SafeWindow(0, 2)).gate == 0.5
+        _Dual(rep, nan, empty, SafeWindow(0, 3))
+    assert _Dual(rep, nan, empty, SafeWindow(0, 2)).gate == 0.5
 
 
 def test_a_non_finite_tower_gate_is_refused_naming_its_check(monkeypatch, params_l2):
-    """A general check grades its tower as a `_Dual`, whose non-finite gate is not graded."""
-    real = _Dual.of_parts.__func__
+    """A general check grades its tower as a `_Dual`, whose non-finite gate is not graded.
 
-    def of_parts(cls, rep, mat, nf, window):
-        nan = Banded(rep.dim, {0: (complex(math.nan, 0.0),) * rep.dim})
-        return real(cls, rep, mat + nan, nf, window)
+    The first `_Dual` of general.n1.m1 is its bracket and the second its
+    tower; only the tower's matrix is spoiled.
+    """
+    real = _Dual.__init__
+    built = []
 
-    monkeypatch.setattr(_Dual, "of_parts", classmethod(of_parts))
+    def init(self, rep, mat, nf, window):
+        built.append(mat)
+        if len(built) == 2:
+            mat = mat + Banded(rep.dim, {0: (complex(math.nan, 0.0),) * rep.dim})
+        real(self, rep, mat, nf, window)
+
+    monkeypatch.setattr(_Dual, "__init__", init)
     with pytest.raises(NotFinite, match=r"^general\.n1\.m1: gate nan at dim 16"):
         run_suite(params_l2, 16, ("general",))
+    assert len(built) == 2
+
+
+ROW_CLAIMS = ("virasoro.", "lambda2.ee.", "lambda2.oo.", "lambda2.eo.", "sp2.", "casimir.",
+              "winf.")
+DIRECT = ("basic.", "single.", "general.", "klein_v.", "klein_w.", "lambda2.klein_")
+
+
+def test_every_row_claim_is_graded_by_closes_on(monkeypatch):
+    """`_closes_on` grades each K-polynomial row claim; `_verdict` is called directly only
+    by the checks that aggregate, take a minimum over readings or print K on the right."""
+    real_closes, real_verdict = identities._closes_on, identities._verdict
+    closed, direct, inside = set(), set(), []
+
+    def closes_on(*args, **kwargs):
+        inside.append(True)
+        try:
+            entry = real_closes(*args, **kwargs)
+        finally:
+            inside.pop()
+        closed.add(entry.id)
+        return entry
+
+    def verdict(*args, **kwargs):
+        entry = real_verdict(*args, **kwargs)
+        if not inside:
+            direct.add(entry.id)
+        return entry
+
+    monkeypatch.setattr(identities, "_closes_on", closes_on)
+    monkeypatch.setattr(identities, "_verdict", verdict)
+    identities._wconst_checks.cache_clear()
+    params = [validate_alpha(2, (0.5, -0.5)), validate_alpha(5, (0.3, -0.1, 0.2, -0.25, -0.15)),
+              validate_alpha(3, (0.0,) * 3)]
+    for p in params:
+        for c in run_suite(p, 32)["checks"]:
+            if not c["id"].startswith(ROW_CLAIMS) or c["status"] == "not-applicable":
+                continue
+            # a winf pair is graded once; its mirror is a copy of that entry under its own id
+            pair = re.fullmatch(r"winf\.s(\d)\.m(\d)\.t(\d)\.n(\d)", c["id"])
+            mirror = pair and "winf.s{2}.m{3}.t{0}.n{1}".format(*pair.groups())
+            assert c["id"] in closed or mirror in closed, c["id"]
+    assert {"virasoro.m0.n0", "lambda2.eo.k0.l0", "sp2.high_low", "casimir.vanishing"} <= closed
+    assert closed.isdisjoint(direct)
+    assert all(i.startswith(DIRECT) or i == "wconst.central" for i in direct), sorted(direct)
+    assert {i.split(".")[0] for i in direct} == {"basic", "single", "general", "klein_v",
+                                                "klein_w", "lambda2", "wconst"}
 
 
 @pytest.mark.parametrize("res_paper", [float("nan"), float("inf")])

@@ -13,7 +13,9 @@ import pytest
 
 from cycosc import expr as ex
 from cycosc import identities
-from cycosc.identities import TOL, _Dual, _rep, _verdict, check_single_mode, run_suite
+from cycosc.identities import (
+    TOL, _Dual, _closes_on, _dual, _rep, _verdict, check_single_mode, run_suite,
+)
 from cycosc.normal_order import NormalForm
 from cycosc.params import validate_alpha
 
@@ -108,18 +110,18 @@ def test_nf_to_matrix_runs_once_per_dual_and_per_tower(monkeypatch):
     the suite's duals are its brackets and its towers.
     """
     params = validate_alpha(5, ALPHAS[5])
-    real_grade, real_to_matrix = _Dual._grade, identities.nf_to_matrix
+    real_init, real_to_matrix = _Dual.__init__, identities.nf_to_matrix
     calls = {"duals": 0, "nf_to_matrix": 0}
 
-    def grade(self, *args):
+    def init(self, *args):
         calls["duals"] += 1
-        return real_grade(self, *args)
+        real_init(self, *args)
 
     def to_matrix(*args):
         calls["nf_to_matrix"] += 1
         return real_to_matrix(*args)
 
-    monkeypatch.setattr(_Dual, "_grade", grade)
+    monkeypatch.setattr(_Dual, "__init__", init)
     monkeypatch.setattr(identities, "nf_to_matrix", to_matrix)
     checks = run_suite(params, 64)["checks"]
     towers = sum("tower_matrix_residual" in (c["fitted"] or {}) for c in checks)
@@ -152,9 +154,10 @@ def test_a_non_finite_published_coefficient_grades_fail(monkeypatch, stale):
 
 def test_a_claim_that_the_bracket_vanishes_is_the_empty_form():
     params = validate_alpha(2, ALPHAS[2])
-    d = _Dual(_rep(params, 32), ex.Commutator(ex.A, ex.AD))
+    d = _dual(_rep(params, 32), ex.Commutator(ex.A, ex.AD))
     empty = NormalForm(2, {})
     assert d.against(None) == d.against(empty) == 1.0  # [a, a+] = 1 + 0.5 K
+    assert _closes_on(d, "basic.x", []).residual_paper == 1.0  # no rows: the empty form
     # the gate passes, so a wrong claim of zero is a discrepancy
     assert _verdict("basic.x", d.window, d.gate, d.against(None)).status == "discrepancy"
 

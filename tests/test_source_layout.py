@@ -100,3 +100,35 @@ def test_the_command_line_runs_without_numpy(tmp_path):
     done = subprocess.run([sys.executable, "-c", CHILD, *map(json.dumps, commands)],
                           env=env, capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) == {"codes": [0, 0, 0], "loaded": []}
+
+
+TRACED = """
+import json, spans
+tracer = spans.Tracer()
+tracer.install()
+from cycosc import cli, expr, normal_order
+from cycosc.identities import run_suite
+from cycosc.params import validate_alpha
+params = validate_alpha(2, (0.5, -0.5))
+run_suite(params, 16)
+cli.format_nf_json(normal_order.normal_form(expr.parse("[a, ad^3]"), params))
+print(json.dumps({"entered": sorted(tracer.calls), "rep_bytes": tracer.rep_bytes,
+                  "memo": spans.memo_info(), "suites": spans.SUITES}))
+"""
+
+
+def test_every_benchmark_span_resolves_and_is_entered():
+    """The benchmark's tracer wraps functions by name; a renamed or dropped one breaks its
+    traced run.  Install it, run every suite, parse and render, and read the memo caches."""
+    bench = SRC.parent.parent / "perfbench"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(bench)])}
+    done = subprocess.run([sys.executable, "-c", TRACED], env=env, capture_output=True,
+                          text=True, check=True)
+    traced = json.loads(done.stdout)
+    expected = {f"identities.suite.{suite}" for suite in traced["suites"]} | {
+        "fock.build_rep", "fock.apply_word", "normal_order.normal_form",
+        "normal_order.nf_to_matrix", "expr.parse", "cli.format_nf_json",
+    }
+    assert expected <= set(traced["entered"])
+    assert traced["rep_bytes"] > 0
+    assert traced["memo"]["misses"] > 0

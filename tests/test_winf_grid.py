@@ -17,7 +17,7 @@ from cycosc import expr as ex
 from cycosc import identities
 from cycosc.errors import EmptyWindow, NotFinite
 from cycosc.fock import Banded
-from cycosc.identities import _Dual, _mono_expr, _rep, _verdict, _xi_side, check_winf, run_suite
+from cycosc.identities import _dual, _mono_expr, _rep, _verdict, _xi_side, check_winf, run_suite
 from cycosc.normal_order import NormalForm, kpoly_left_sum, nf_add, nf_scale
 from cycosc.params import validate_alpha
 
@@ -33,7 +33,7 @@ def _reference(params, dim, s, m, t, n):
     """One winf entry graded on its own, as the per-bracket check did."""
     rep = _rep(params, dim)
     lam = params.lam
-    d = _Dual(rep, ex.Commutator(_mono_expr(s, m), _mono_expr(t, n)))
+    d = _dual(rep, ex.Commutator(_mono_expr(s, m), _mono_expr(t, n)))
     grade = (s - m) + (t - n)
     on_ladder = all(p - q == grade for (p, q) in d.nf.support())
     polys = np.zeros((max(m, n), lam), dtype=complex)
