@@ -15,7 +15,6 @@ from .errors import (
     CycoscError,
     DimTooSmall,
     EmptyWindow,
-    FormulaGap,
     IndexOutOfRealization,
     LambdaMismatch,
     NegativeLevel,
@@ -74,7 +73,6 @@ __all__ = [
     "DimTooSmall",
     "EmptyWindow",
     "FockRep",
-    "FormulaGap",
     "IdentityCheck",
     "IndexOutOfRealization",
     "LambdaMismatch",

@@ -274,8 +274,7 @@ def cmd_verify(args) -> int:
     params = _resolve_params(args, cfg)
     dim = _resolve_dim(args, cfg)
     suites = ("all",) if args.suite is None else tuple(args.suite.split(","))
-    report = run_suite(params, dim, suites,
-                       phi_reading=args.phi_reading, n_reading=args.N_reading)
+    report = run_suite(params, dim, suites)
     report["config"]["strict_paper"] = bool(args.strict_paper)
     payload = _json(report)
     if args.out:
@@ -391,10 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"comma list from {{{','.join(SUITES)}}} or 'all' (default)")
     vf.add_argument("--strict-paper", dest="strict_paper", action="store_true",
                     help="exit nonzero when any published constant is contradicted")
-    vf.add_argument("--phi-reading", dest="phi_reading", choices=PHI_READINGS,
-                    default="literal")
-    vf.add_argument("--N-reading", dest="N_reading", choices=N_READINGS,
-                    default="literal")
     vf.set_defaults(func=cmd_verify)
 
     wc = subs.add_parser("wconst", help="higher-spin structure constants")

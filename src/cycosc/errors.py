@@ -78,10 +78,6 @@ class BadRange(CycoscError):
     """Index arguments outside the range a reordering tower supports."""
 
 
-class FormulaGap(CycoscError):
-    """No printed closed-form case covers the requested coefficient."""
-
-
 # ---- identity checks ----
 
 class WrongLambda(CycoscError):

@@ -44,7 +44,6 @@ from .fock import Banded, FockRep, SafeWindow, apply_word, build_rep, safe_windo
 from .normal_order import (
     PRUNE_TOL,
     NormalForm,
-    accumulate,
     beta_closed_form,
     beta_tower_raw,
     f_kpoly,
@@ -59,7 +58,7 @@ from .normal_order import (
 )
 from .params import AlgebraParams, root_power, validate_alpha
 from .record import Record
-from .winf import central_charge, central_term, dual_readings, winf_structure
+from .winf import central_charge, central_term, dual_readings
 
 GATE_TOL = 1e-8
 
@@ -344,29 +343,22 @@ def check_basic(params: AlgebraParams, dim: int) -> list:
 
 
 def check_single_mode(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
-    """[a, (a+)^m] against the three candidate coefficient functions."""
-    rep = _rep(params, dim)
-    lam = params.lam
-    d = _dual(rep, ex.Commutator(ex.A, ex.Power(ex.AD, m)))
+    """[a, (a+)^m] against (m + F) (a+)^{m-1}, graded under the printed F.
 
+    The other two readings of F are graded too and reported with the first
+    of the three that holds (`winner`); they do not change the status.
+    """
+    d = _dual(_rep(params, dim), ex.Commutator(ex.A, ex.Power(ex.AD, m)))
     on_support = all((p, q) == (m - 1, 0) for (p, q) in d.nf.support())
-
-    residuals = {}
-    for variant in F_CANDIDATES:
-        poly = (m, *f_kpoly(params, m, variant)[1:])
-        residuals[variant] = d.against(kpoly_left_sum([(poly, m - 1, 0)], lam))
-
-    winner = next((v for v in F_CANDIDATES if residuals[v] < TOL["single"]), "none")
-    if not params.is_deformed:
-        winner = "all"
-
-    fitted = {"winner": winner, **_ktable(left_read(d.nf, m - 1, 0), "K")}
-    fitted.update({f"residual_{v}": res for v, res in residuals.items()})
-
-    return _verdict(
-        f"single.m{m}", d.window, d.gate, residuals["paper"], min(residuals.values()),
-        fitted, on_support,
-    )
+    rows = {v: [((m, *f_kpoly(params, m, v)[1:]), m - 1, 0)] for v in F_CANDIDATES}
+    fitted = {f"residual_{v}": d.against(kpoly_left_sum(rows[v], params.lam))
+              for v in F_CANDIDATES if v != "paper"}
+    fitted.update(_ktable(left_read(d.nf, m - 1, 0), "K"))
+    check = _closes_on(d, f"single.m{m}", rows["paper"], fitted, on_support)
+    fitted["residual_paper"] = check.residual_paper
+    winner = next((v for v in F_CANDIDATES if fitted[f"residual_{v}"] < TOL["single"]), "none")
+    fitted["winner"] = winner if params.is_deformed else "all"
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -374,50 +366,38 @@ def check_single_mode(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
 
 
 def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCheck:
-    """[a^n, (a+)^m]: oracle cross-check plus the literal double-sum assembly.
+    """[a^n, (a+)^m] against the printed double sum over alpha and levels l.
 
-    The published right side pairs the coefficient tower of the one-lower
-    power product (its monomials are (a+)^{m-l-1} a^{n-l-1}), so the tower
-    with n-1 lowering factors is used for both the oracle and the literal
-    closed-form coefficients.
+    The printed side sums (m + F x^alpha) beta_l (a+)^{m-l-1} a^{n-l-1} over
+    0 <= l <= alpha < n, pairing the coefficient tower of the one-lower power
+    product a^{n-1} (a+)^{m-1}; level l is one row, its K-polynomial summed over
+    alpha = l..n-1.  The status grades the printed closed-form tower; the
+    engine's tower is graded too (`assembly_oracle_beta`), and it is checked
+    against that power product as a matrix (`tower_matrix_residual`).
     """
     rep = _rep(params, dim)
     lam = params.lam
     d = _dual(rep, ex.Commutator(ex.Power(ex.A, n), ex.Power(ex.AD, m)))
+    levels = range(min(n, m))
+    on_support = d.nf.support() <= {(m - 1 - l, n - 1 - l) for l in levels}
 
-    allowed = {(m - 1 - l, n - 1 - l) for l in range(min(n, m))}
-    on_support = d.nf.support() <= allowed
+    F = f_kpoly(params, m, "paper")
+    prefs = [_kpoly(params, m, lambda _, r: F[r] * root_power(lam, alpha)) for alpha in range(n)]
+
+    def rows(betas):
+        return [(tuple(map(sum, zip(*(kpoly_mul(pref, beta) for pref in prefs[l:])))),
+                 m - l - 1, n - l - 1) for l, beta in zip(levels, betas)]
 
     tower = beta_tower_raw(n - 1, m, params)
-    prefactor = f_kpoly(params, m, "paper")
-
-    def assemble(betas):
-        # not one dict of distinct grades: the grades of different alpha coincide, and the
-        # pruning after each sum is part of the published side's arithmetic
-        rhs = {}
-        for alpha in range(n):
-            # one bracket (m + F x^alpha); x^alpha is a scalar power
-            phase = root_power(lam, alpha)
-            pref = _kpoly(params, m, lambda _, r: prefactor[r] * phase)
-            for l in range(min(alpha + 1, m)):
-                combined = kpoly_mul(pref, betas[l])
-                accumulate(rhs, kpoly_left_sum([(combined, m - l - 1, n - l - 1)], lam).terms)
-        return NormalForm(lam, rhs)
-
-    res_oracle = d.against(assemble(tower))
-    res_closed = d.against(assemble([beta_closed_form(n - 1, m, l, params) for l in range(n)]))
-
-    # direct tower validation: sum_l beta_l (a+)^{m-1-l} a^{n-1-l} == a^{n-1} (a+)^{m-1}
-    tower_nf = kpoly_left_sum(
-        ((poly, m - 1 - l, n - 1 - l) for l, poly in enumerate(tower[:m])), lam
-    )
+    tower_nf = kpoly_left_sum(((poly, m - 1 - l, n - 1 - l) for l, poly in zip(levels, tower)), lam)
     prod_mat = rep.matrix_power("a", n - 1) @ rep.matrix_power("ad", m - 1)
-    res_tower = _Dual(rep, prod_mat, tower_nf, d.window).gate
-
-    fitted = {"assembly_oracle_beta": res_oracle, "assembly_closed_beta": res_closed,
-              "tower_matrix_residual": res_tower, "on_support": bool(on_support)}
-    return _verdict(f"general.n{n}.m{m}", d.window, d.gate, res_closed, fitted=fitted,
-                    ok=on_support)
+    fitted = {"assembly_oracle_beta": d.against(kpoly_left_sum(rows(tower), lam)),
+              "tower_matrix_residual": _Dual(rep, prod_mat, tower_nf, d.window).gate,
+              "on_support": bool(on_support)}
+    closed = rows(beta_closed_form(n - 1, m, l, params) for l in levels)
+    check = _closes_on(d, f"general.n{n}.m{m}", closed, fitted, on_support)
+    fitted["assembly_closed_beta"] = check.residual_paper
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -450,21 +430,21 @@ def check_virasoro(params: AlgebraParams, dim: int, m: int, n: int) -> IdentityC
     return _ladder(params, dim, check_id, m, n, poly)
 
 
-def _klein(params: AlgebraParams, dim: int, check_id: str, generator, s: int, m: int, claimed,
-           shift=None, grading=None) -> IdentityCheck:
+def _klein(params: AlgebraParams, dim: int, check_id: str, s: int, m: int, claimed,
+           k_left=False, grading=None) -> IdentityCheck:
     """[w, K] for the generator w = (a+)^s a^m, against `claimed` times the monomial wK.
 
-    With `shift` None the monomial is read with K on the right, (a+)^s a^m K;
-    otherwise with K on the left, K (a+)^s a^m = x^shift (a+)^s a^m K.  The
-    fitted coefficient is graded as the best residual; a measured `grading`
-    is reported with whether w commutes with K.
+    The monomial is read with K on the right, (a+)^s a^m K, or with `k_left`
+    on the left, K (a+)^s a^m = x^(m-s) (a+)^s a^m K.  The fitted coefficient
+    is graded as the best residual; a measured `grading` is reported with
+    whether w commutes with K.
     """
     lam = params.lam
-    d = _dual(_rep(params, dim), ex.Commutator(generator, ex.KLEIN))
+    d = _dual(_rep(params, dim), ex.Commutator(_mono_expr(s, m), ex.KLEIN))
     c_fit = d.nf.coefficient(s, m, 1)
-    phase = 1.0 if shift is None else root_power(lam, shift)  # monomial: phase (a+)^s a^m K
-    if shift is not None:
-        c_fit = c_fit * root_power(lam, -shift)
+    phase = root_power(lam, m - s) if k_left else 1.0  # monomial: phase (a+)^s a^m K
+    if k_left:
+        c_fit = c_fit * root_power(lam, s - m)
     res_fit = d.against(nf_monomial(lam, s, m, 1, c_fit * phase))
     fitted = {"coefficient": _c2(c_fit), "claimed": _c2(claimed)}
     if grading is not None:
@@ -480,9 +460,11 @@ def check_klein_virasoro(params: AlgebraParams, dim: int, m: int) -> IdentityChe
     The realization grades by the net degree: the measured coefficient is
     1 - exp(2i pi m / lam), reported in the fitted table.
     """
+    if m < -1:
+        raise IndexOutOfRealization(f"ladder index {m} < -1 has no realization")
     lam = params.lam
     g_paper, grading = (1.0 - cmath.exp(2j * cmath.pi * k / lam) for k in (m + 1, m))
-    return _klein(params, dim, f"klein_v.m{m}", _ell_expr(m), m + 1, 1, g_paper, grading=grading)
+    return _klein(params, dim, f"klein_v.m{m}", m + 1, 1, g_paper, grading=grading)
 
 
 def check_lambda2(params: AlgebraParams, dim: int) -> list:
@@ -504,8 +486,7 @@ def check_lambda2(params: AlgebraParams, dim: int) -> list:
             checks.append(_ladder(params, dim, f"lambda2.{kind}.k{k}.l{l}", m, n, poly))
     for k in range(3):
         for parity, em, claimed in (("even", 2 * k, 2.0), ("odd", 2 * k + 1, 0.0)):
-            checks.append(_klein(params, dim, f"lambda2.klein_{parity}.k{k}", _ell_expr(em),
-                                 em + 1, 1, claimed))
+            checks.append(_klein(params, dim, f"lambda2.klein_{parity}.k{k}", em + 1, 1, claimed))
     return checks
 
 
@@ -609,9 +590,8 @@ def check_klein_winf(params: AlgebraParams, dim: int, s: int, m: int) -> Identit
     exactly when s = m (mod lam), not when s + m = 0 (mod lam).
     """
     lam = params.lam
-    # K w^s_m in canonical layout: phase x^{m-s} times (a+)^s a^m K
-    return _klein(params, dim, f"klein_w.s{s}.m{m}", _mono_expr(s, m), s, m,
-                  root_power(lam, s + m) - 1.0, m - s, root_power(lam, s - m) - 1.0)
+    return _klein(params, dim, f"klein_w.s{s}.m{m}", s, m, root_power(lam, s + m) - 1.0,
+                  k_left=True, grading=root_power(lam, s - m) - 1.0)
 
 
 def check_sp2(params: AlgebraParams, dim: int) -> list:
@@ -674,17 +654,18 @@ def check_casimir(params: AlgebraParams, dim: int) -> list:
 # standalone structure constants
 
 
-def check_wconst(phi_reading: str = "literal", n_reading: str = "literal") -> list:
+def check_wconst() -> list:
     """Central charges and dual-reading structure constants, realization-free.
 
-    The entries are built once per pair of readings; each call gets fresh
-    copies (the fitted values are numbers and strings).
+    Each g entry records both readings of N and phi, and g under the printed
+    (literal) ones.  The entries are built once; each call gets fresh copies
+    (the fitted values are numbers and strings).
     """
-    return [c.replace(fitted=dict(c.fitted)) for c in _wconst_checks(phi_reading, n_reading)]
+    return [c.replace(fitted=dict(c.fitted)) for c in _wconst_checks()]
 
 
-@lru_cache(maxsize=8)
-def _wconst_checks(phi_reading: str, n_reading: str) -> tuple:
+@lru_cache(maxsize=1)
+def _wconst_checks() -> tuple:
     worst = 0.0
     fitted = {}
     for i in range(11):
@@ -702,8 +683,8 @@ def _wconst_checks(phi_reading: str, n_reading: str) -> tuple:
         for j in range(4):
             for l in range(4):
                 values = dual_readings(i, j, l, 1, -1)
-                values["g"] = winf_structure(i, j, l, 1, -1, n_reading, phi_reading).value_g
-                values["readings"] = f"N={n_reading},phi={phi_reading}"
+                values["g"] = values["phi_literal"] * values["N_literal"] / (2.0 * (l + 1))
+                values["readings"] = "N=literal,phi=literal"
                 checks.append(_ungraded(f"wconst.g.i{i}.j{j}.l{l}", "pass", values))
     return tuple(checks)
 
@@ -712,8 +693,7 @@ def _wconst_checks(phi_reading: str, n_reading: str) -> tuple:
 # suite driver
 
 
-def run_suite(params: AlgebraParams, dim: int = 64, selection=("all",),
-              phi_reading: str = "literal", n_reading: str = "literal") -> dict:
+def run_suite(params: AlgebraParams, dim: int = 64, selection=("all",)) -> dict:
     """Execute the selected check suites and assemble the JSON-ready report.
 
     Each `FAMILIES` row of a selected suite calls its check once per index
@@ -740,7 +720,7 @@ def run_suite(params: AlgebraParams, dim: int = 64, selection=("all",),
     for fam in FAMILIES:
         if fam.suite not in chosen:
             continue
-        head = (phi_reading, n_reading) if fam.suite == "wconst" else (params, dim)
+        head = () if fam.suite == "wconst" else (params, dim)
         for values in product(*fam.index.values()):
             label = fam.family + "".join(f".{k}{v}" for k, v in zip(fam.index, values))
             try:
@@ -766,8 +746,6 @@ def run_suite(params: AlgebraParams, dim: int = 64, selection=("all",),
         "kappa": [[k.real, k.imag] for k in params.kappa],
         "dim": dim,
         "suites": sorted(chosen),
-        "phi_reading": phi_reading,
-        "N_reading": n_reading,
         "sigma": virasoro_sign(params.lam),
         "gate_tolerance": GATE_TOL,
         "tolerances": dict(sorted(TOL.items())),

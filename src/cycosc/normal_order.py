@@ -32,7 +32,7 @@ from itertools import repeat
 from operator import add, mul
 
 from . import expr as ex
-from .errors import BadRange, FormulaGap, LambdaMismatch, UnknownSymbol
+from .errors import BadRange, LambdaMismatch, UnknownSymbol
 from .fock import Banded, FockRep
 from .params import AlgebraParams, root_power, root_table
 from .record import Record
@@ -485,8 +485,8 @@ def beta_closed_form(
 
     Returns the left-positioned K-polynomial as lam complex numbers.  The
     printed cases, read as formulas in general n with empty ranges collapsing
-    to ring identities, cover every 0 <= l <= n; a fresh combination falling
-    outside them raises FormulaGap.  Raises BadRange for l outside [0, n].
+    to ring identities, cover every 0 <= l <= n: l <= 3, l = n, l = n - 1,
+    and the general case for the rest.  Raises BadRange for l outside [0, n].
     """
     if not (0 <= l <= n):
         raise BadRange(f"need 0 <= l <= n, got l={l}, n={n}")
@@ -545,7 +545,7 @@ def beta_closed_form(
         poly = poly + (sc(2 * (m - 1)) + fsum(n - 2, n - 1)) * fprod(
             (i, n - i - 1) for i in range(2, n)
         )
-    elif 2 <= n - l <= n - 4:
+    else:  # 2 <= n - l <= n - 4, that is 4 <= l <= n - 2
         k = n - l
         poly = fprod((i, n - i) for i in range(1, n - k + 1))
         poly = poly + fprod((i, n - i) for i in range(1, n - k)) * (
@@ -577,6 +577,4 @@ def beta_closed_form(
         poly = poly + (sc((k + 1) * (m - 1)) + fsum(2, n - 1)) * fprod(
             (i, n - i - 2) for i in range(2, n - 1)
         )
-    else:
-        raise FormulaGap(f"no printed case covers l={l} at n={n}")
     return tuple(poly)

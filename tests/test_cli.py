@@ -230,6 +230,32 @@ def test_dump_matrices(tmp_path, capsys):
     assert [e[:2] for e in blob["K"]["entries"]] == [[n, n] for n in range(8)]
 
 
+def test_verify_dumps_the_matrices_spectrum_dumps(tmp_path, capsys):
+    flags = ("--lambda", "3", "--alpha", "0.3,0.2,-0.5", "--dim", "16")
+    verify_dump, spectrum_dump = tmp_path / "verify.json", tmp_path / "spectrum.json"
+    code, _, _ = run(capsys, "verify", *flags, "--suite", "basic",
+                     "--out", str(tmp_path / "report.json"), "--dump-matrices", str(verify_dump))
+    assert code == 0
+    code, _, _ = run(capsys, "spectrum", *flags, "--dump-matrices", str(spectrum_dump))
+    assert code == 0
+    assert json.loads(verify_dump.read_text())["a"]["rows"] == 16
+    assert verify_dump.read_bytes() == spectrum_dump.read_bytes()
+
+
+@pytest.mark.parametrize("flag, line",
+                         [("--phi-reading", "phi[alt] = "), ("--N-reading", "N[alt] = ")])
+def test_only_wconst_takes_a_reading_flag(tmp_path, capsys, flag, line):
+    """verify grades the printed readings and reports the others; wconst evaluates one."""
+    out_file = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--suite", "wconst", flag, "alt", "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert not out_file.exists()
+    code, out, _ = run(capsys, "wconst", "--l", "1", flag, "alt")
+    assert code == 0
+    assert line in out
+
+
 def test_wconst_output(capsys):
     code, out, _ = run(capsys, "wconst", "--i", "0")
     assert code == 0

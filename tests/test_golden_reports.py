@@ -2,62 +2,99 @@
 verify-sweep-shaped configs (lambda 7, dim 20 and lambda 8, dim 13) and at
 the grid's largest dim (lambda 5, dim 128).
 
-A refactor that keeps the arithmetic must leave these files unchanged.  A
-change that moves any number in a report has to update the pinned hash and
-list its residual deltas in CHANGES.md.  Every number in a report comes from
-Python's own float and complex arithmetic (no numpy is loaded), so the bytes
-hold wherever doubles are IEEE binary64, the C library gives the same
-`exp`, `sqrt` and `hypot`, and CPython multiplies complex numbers by its
-textbook formula (a compiler that contracts it to fused multiply-adds rounds
-differently)."""
+Each config pins two digests.  The verdict digest covers what a report
+decides: every check's id, status and fitted keys.  A change to the
+arithmetic keeps it and updates only the byte digest, listing its residual
+deltas in CHANGES.md; a refactor that keeps the arithmetic keeps both.  Every
+number in a report comes from Python's own float and complex arithmetic (no
+numpy is loaded), so the bytes hold wherever doubles are IEEE binary64, the C
+library gives the same `exp`, `sqrt` and `hypot`, and CPython multiplies
+complex numbers by its textbook formula (a compiler that contracts it to
+fused multiply-adds rounds differently)."""
 
+import contextlib
 import hashlib
+import io
+import json
 
 import pytest
 
 from cycosc.cli import main
 
+# (argv, byte digest, verdict digest)
 GOLDEN = [
     (
         ("--lambda", "2", "--alpha", "0.5,-0.5"),
-        "7dee182e61ee0bbc9dbc1df0e484178a08c916bff942f5b48796fec7a44ef793",
+        "74baaf2f0a9ff99cac081ce776f26a05a5b668ae8bfd015f7cde9a351ab1badc",
+        "2995a51a59f24ef9c0ba204f58393838a480c8a784ee1446df49a88ba13407a1",
     ),
     (
         ("--lambda", "2", "--alpha", "0,0"),
-        "67d531669039ef85a38dd989fd9580288fadc2b3ea2a2eb85d90b1cafca079d8",
+        "202884fb229261828ae69b3ad068220f78a337758b3a1a1fdb31c024c0b12e75",
+        "7735fed66dc43878a43d7680cae7fb43c34cf9a7a704ea7339467c969f4e2821",
     ),
     (
         ("--lambda", "3", "--kappa", "0.2:0.1,0.2:-0.1"),
-        "a8154dd975f216b4b033914dde0cf789c5e0e02c932060bb296aa974822f2179",
+        "7f46689401ee14be956b497637a54b0e364161dc9e0f7ddd389bab2f8747b51e",
+        "04c8e8ebcbb365081557ffd4339cceff9a289d01e8ea5a7f2a2243f10aa465ef",
     ),
     (
         ("--lambda", "5", "--alpha", "0.3,-0.1,0.2,-0.25,-0.15"),
-        "458e13a2eb86abf76ae608ae0d7cdde80ade7cf4785ff036710be38d1fe3a888",
+        "8e87823339ea0a3346a29609924a7603e5c2473149130a2d23935160938eaa53",
+        "fd747a4182983c56a78bbf43ddf487f49ffcfc4dde116eb7a666b3898cc81d0e",
     ),
     (
-        ("--lambda", "2", "--kappa", "0.5", "--phi-reading", "alt", "--N-reading", "alt"),
-        "3861520d5857b5927a46caed839221363cf86d39859fbf79f40f878e9f569c39",
+        # the kappa form of the first config, whose report it equals byte for byte
+        ("--lambda", "2", "--kappa", "0.5"),
+        "74baaf2f0a9ff99cac081ce776f26a05a5b668ae8bfd015f7cde9a351ab1badc",
+        "2995a51a59f24ef9c0ba204f58393838a480c8a784ee1446df49a88ba13407a1",
     ),
     (
         ("--lambda", "7", "--alpha", "0.3,-0.2,0.1,-0.4,0.2,0.15,-0.15", "--dim", "20"),
-        "68c56e1fc471045814c3e3d8da93b98ad7c08886ce688a22f88e0f4520364e23",
+        "b57f79995656f822f832596a679424d1d92c429baa509a3f826aaa4bc5031cd3",
+        "231797ec3b3b6dbc4dc8ae01b150840bfe2446331a7d51f08c10549a2862644c",
     ),
     (
         ("--lambda", "8", "--alpha", "0.3,-0.2,0.1,-0.4,0.2,0.15,-0.15,0.0", "--dim", "13"),
-        "eca70637549dd2dce7907b728b01a9a81e20486dff5e7853f26917927c31c334",
+        "80983701765982a4671734d2da4638b3b4f86566a33b694c50c55988dcf9e712",
+        "46643651413e7b4e17e3d73622e551dda3f23752e50d3c2cbe8aabd625fdefd0",
     ),
     (
         ("--lambda", "5", "--alpha", "0.3,-0.1,0.2,-0.25,-0.15", "--dim", "128"),
-        "89e597c8d9e6fd713471ecf19a95c3d35c7c0ed55322069794a4acaddd9eae22",
+        "62e90328a7b8212731fef26c7cacb73107cf050dece776a99e05a52133e41e96",
+        "fd747a4182983c56a78bbf43ddf487f49ffcfc4dde116eb7a666b3898cc81d0e",
     ),
 ]
+IDS = [" ".join(cfg) for cfg, _, _ in GOLDEN]
 
 
-@pytest.mark.parametrize("cfg, digest", GOLDEN, ids=[" ".join(c) for c, _ in GOLDEN])
-def test_report_bytes_pinned(tmp_path, capsys, cfg, digest):
-    path = tmp_path / "report.json"
-    dim = () if "--dim" in cfg else ("--dim", "64")
-    code = main(["verify", *cfg, *dim, "--suite", "all", "--out", str(path)])
-    capsys.readouterr()
-    assert code in (0, 1)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    """The report `verify --suite all` writes for a config, at dim 64 unless it gives one;
+    each config runs once for both digests."""
+    tmp_dir, made = tmp_path_factory.mktemp("golden"), {}
+
+    def run(cfg) -> bytes:
+        if cfg not in made:
+            path = tmp_dir / f"report{len(made)}.json"
+            dim = () if "--dim" in cfg else ("--dim", "64")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["verify", *cfg, *dim, "--suite", "all", "--out", str(path)])
+            assert code in (0, 1)
+            made[cfg] = path.read_bytes()
+        return made[cfg]
+
+    return run
+
+
+@pytest.mark.parametrize("cfg, digest, _", GOLDEN, ids=IDS)
+def test_report_bytes_pinned(report, cfg, digest, _):
+    assert hashlib.sha256(report(cfg)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cfg, _, digest", GOLDEN, ids=IDS)
+def test_report_verdicts_pinned(report, cfg, _, digest):
+    """The digest of [(id, status, sorted fitted keys)] over the report's checks."""
+    rows = [[c["id"], c["status"], sorted(c["fitted"] or {})]
+            for c in json.loads(report(cfg))["checks"]]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest

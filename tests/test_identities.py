@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -30,6 +31,7 @@ from cycosc.identities import (
 )
 from cycosc.normal_order import NormalForm, nf_to_matrix
 from cycosc.params import params_from_kappa, validate_alpha
+from cycosc.winf import dual_readings, winf_structure
 
 from conftest import dense, random_valid_alpha
 
@@ -164,6 +166,8 @@ def test_virasoro_out_of_realization(params_l2):
 
 def test_klein_ladder_grading(params_l3):
     """[l_m, K] closes on l_m K; commutation happens at m = 0 mod lam."""
+    with pytest.raises(IndexOutOfRealization):
+        check_klein_virasoro(params_l3, D, -2)
     for m in range(-1, 6):
         check = check_klein_virasoro(params_l3, D, m)
         assert check.residual_best < 1e-10, (m, check.residual_best)
@@ -432,6 +436,18 @@ def test_run_suite_wconst_needs_no_realization(params_l2):
     assert report["config"]["dim"] == 512
 
 
+def test_wconst_g_is_the_printed_reading_of_its_own_dual_readings(params_l2):
+    report = run_suite(params_l2, 32, ("wconst",))
+    assert not {"phi_reading", "N_reading"} & report["config"].keys()
+    assert list(inspect.signature(run_suite).parameters) == ["params", "dim", "selection"]
+    entries = [c for c in report["checks"] if c["id"].startswith("wconst.g.")]
+    assert len(entries) == 64
+    for c in entries:
+        i, j, l = map(int, re.fullmatch(r"wconst\.g\.i(\d)\.j(\d)\.l(\d)", c["id"]).groups())
+        assert c["fitted"] == {**dual_readings(i, j, l, 1, -1), "readings": "N=literal,phi=literal",
+                               "g": winf_structure(i, j, l, 1, -1).value_g}
+
+
 # which id families (the id up to its first dot) each --suite name runs
 SUITE_FAMILIES = {
     "basic": {"basic"},
@@ -531,14 +547,15 @@ def test_a_non_finite_tower_gate_is_refused_naming_its_check(monkeypatch, params
     assert len(built) == 2
 
 
-ROW_CLAIMS = ("virasoro.", "lambda2.ee.", "lambda2.oo.", "lambda2.eo.", "sp2.", "casimir.",
-              "winf.")
-DIRECT = ("basic.", "single.", "general.", "klein_v.", "klein_w.", "lambda2.klein_")
+ROW_CLAIMS = ("single.", "general.", "virasoro.", "lambda2.ee.", "lambda2.oo.", "lambda2.eo.",
+              "sp2.", "casimir.", "winf.")
+DIRECT = ("basic.", "klein_v.", "klein_w.", "lambda2.klein_")
 
 
 def test_every_row_claim_is_graded_by_closes_on(monkeypatch):
-    """`_closes_on` grades each K-polynomial row claim; `_verdict` is called directly only
-    by the checks that aggregate, take a minimum over readings or print K on the right."""
+    """`_closes_on` grades each K-polynomial row claim, single-mode and general included;
+    `_verdict` is called directly only by the checks that aggregate a relation's pairs,
+    print K on the right or have no realization."""
     real_closes, real_verdict = identities._closes_on, identities._verdict
     closed, direct, inside = set(), set(), []
 
@@ -570,11 +587,12 @@ def test_every_row_claim_is_graded_by_closes_on(monkeypatch):
             pair = re.fullmatch(r"winf\.s(\d)\.m(\d)\.t(\d)\.n(\d)", c["id"])
             mirror = pair and "winf.s{2}.m{3}.t{0}.n{1}".format(*pair.groups())
             assert c["id"] in closed or mirror in closed, c["id"]
-    assert {"virasoro.m0.n0", "lambda2.eo.k0.l0", "sp2.high_low", "casimir.vanishing"} <= closed
+    assert {"single.m1", "general.n4.m8", "virasoro.m0.n0", "lambda2.eo.k0.l0", "sp2.high_low",
+            "casimir.vanishing"} <= closed
     assert closed.isdisjoint(direct)
     assert all(i.startswith(DIRECT) or i == "wconst.central" for i in direct), sorted(direct)
-    assert {i.split(".")[0] for i in direct} == {"basic", "single", "general", "klein_v",
-                                                "klein_w", "lambda2", "wconst"}
+    assert {i.split(".")[0] for i in direct} == {"basic", "klein_v", "klein_w", "lambda2",
+                                                "wconst"}
 
 
 @pytest.mark.parametrize("res_paper", [float("nan"), float("inf")])

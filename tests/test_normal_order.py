@@ -251,6 +251,21 @@ def test_closed_form_base_cases(params_l2, params_plain):
         beta_closed_form(2, 3, 5, params_l2)
 
 
+@pytest.mark.parametrize("lam", [2, 3, 4, 5])
+def test_closed_form_covers_every_level(lam):
+    """The printed cases (l <= 3, l = n, l = n - 1 and the general one) cover every
+    0 <= l <= n: each level is a K-polynomial of lam finite terms; other levels are refused."""
+    params = validate_alpha(lam, (0.3, -0.3) + (0.0,) * (lam - 2))
+    for n in range(13):
+        for l in range(n + 1):
+            poly = beta_closed_form(n, n + 1, l, params)
+            assert type(poly) is tuple and len(poly) == lam, (n, l)
+            assert all(type(c) is complex and cmath.isfinite(c) for c in poly), (n, l)
+        for l in (-1, n + 1):
+            with pytest.raises(BadRange):
+                beta_closed_form(n, n + 1, l, params)
+
+
 def test_closed_form_matches_oracle_undeformed_edges():
     """Bottom (l <= 3) and top (l = n, n-1) printed cases agree with the
     oracle when the deformation is switched off; the mid-tower cases do not,
