@@ -62,7 +62,7 @@ from .params import (
     params_from_kappa,
     validate_alpha,
 )
-from .winf import WInfConstants, central_charge, central_term, winf_structure
+from .winf import central_charge, central_term, winf_structure
 
 __all__ = [
     "AlgebraParams",
@@ -89,7 +89,6 @@ __all__ = [
     "SumNotZero",
     "UnitarityBound",
     "UnknownSymbol",
-    "WInfConstants",
     "WrongLambda",
     "alpha_from_kappa",
     "apply_word",

@@ -28,7 +28,7 @@ from .fock import build_rep, dump_matrices, spectrum, spectrum_closed_form
 from .identities import SUITES, run_suite
 from .normal_order import NormalForm, normal_form
 from .params import AlgebraParams, cyclic_order, params_from_json, whole_number
-from .winf import N_READINGS, PHI_READINGS, dual_readings, winf_structure
+from .winf import N_READINGS, PHI_READINGS, winf_structure
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -300,38 +300,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wconst(args) -> int:
-    const = winf_structure(
-        args.i, args.j, args.l, args.m, args.n,
-        n_reading=args.N_reading, phi_reading=args.phi_reading,
-    )
-    both = dual_readings(args.i, args.j, args.l, args.m, args.n)
-    payload = {
-        "i": args.i,
-        "j": args.j,
-        "l": args.l,
-        "m": args.m,
-        "n": args.n,
-        "c_i": f"{const.c_i.numerator}/{const.c_i.denominator}",
-        "c_i_m": float(const.c_i_m),
-        "value_N": const.value_N,
-        "value_phi": const.value_phi,
-        "value_g": const.value_g,
-        "N_reading": const.n_reading,
-        "phi_reading": const.phi_reading,
-        "dual_readings": both,
-    }
+    payload = winf_structure(args.i, args.j, args.l, args.m, args.n,
+                             n_reading=args.N_reading, phi_reading=args.phi_reading)
     if args.format == "json":
         _emit(_json(payload), args.out)
         return EXIT_OK
     lines = [
         f"c_{args.i} = {payload['c_i']}",
         f"c_{args.i}({args.m}) = {payload['c_i_m']:.12g}",
-        f"N[{args.N_reading}] = {const.value_N:.12g}",
-        f"phi[{args.phi_reading}] = {const.value_phi:.12g}",
-        f"g = {const.value_g:.12g}",
+        f"N[{args.N_reading}] = {payload['value_N']:.12g}",
+        f"phi[{args.phi_reading}] = {payload['value_phi']:.12g}",
+        f"g = {payload['value_g']:.12g}",
     ]
-    for key in sorted(both):
-        lines.append(f"{key} = {both[key]:.12g}")
+    lines += [f"{key} = {value:.12g}" for key, value in sorted(payload["dual_readings"].items())]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

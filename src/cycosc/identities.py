@@ -58,7 +58,7 @@ from .normal_order import (
 )
 from .params import AlgebraParams, root_power, validate_alpha
 from .record import Record
-from .winf import central_charge, central_term, dual_readings
+from .winf import central_charge, central_term, dual_readings, g_factor
 
 GATE_TOL = 1e-8
 
@@ -222,6 +222,22 @@ def _kpoly(params: AlgebraParams, c0, term) -> tuple:
     return (complex(c0), *rest)
 
 
+def _prefactor(params: AlgebraParams, c, F: tuple, e: int) -> tuple:
+    """The K-polynomial (c + F x^e) that multiplies a coefficient tower in a printed level."""
+    phase = root_power(params.lam, e)
+    return _kpoly(params, c, lambda _, r: F[r] * phase)
+
+
+def _level_rows(levels, p: int, q: int) -> list:
+    """Rows (sum_k kpoly_mul(prefactor_k, tower_k), p - l, q - l) of a printed reordering side.
+
+    `levels[l]` lists the (prefactor, tower) pairs of level l, summed in order;
+    each prefactor is built once by its caller: single-mode, general or Xi^(s,m).
+    """
+    return [(tuple(map(sum, zip(*(kpoly_mul(pref, tower) for pref, tower in pairs)))),
+             p - l, q - l) for l, pairs in enumerate(levels)]
+
+
 def _mono_expr(s: int, m: int) -> ex.OperatorExpr:
     """Expression for (a+)^s a^m."""
     parts = [ex.Power(f, k) for f, k in ((ex.AD, s), (ex.A, m)) if k]
@@ -350,7 +366,9 @@ def check_single_mode(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
     """
     d = _dual(_rep(params, dim), ex.Commutator(ex.A, ex.Power(ex.AD, m)))
     on_support = all((p, q) == (m - 1, 0) for (p, q) in d.nf.support())
-    rows = {v: [((m, *f_kpoly(params, m, v)[1:]), m - 1, 0)] for v in F_CANDIDATES}
+    one = (1.0, *(0j,) * (params.lam - 1))  # the tower of level 0
+    rows = {v: _level_rows([[(_prefactor(params, m, f_kpoly(params, m, v), 0), one)]], m - 1, 0)
+            for v in F_CANDIDATES}
     fitted = {f"residual_{v}": d.against(kpoly_left_sum(rows[v], params.lam))
               for v in F_CANDIDATES if v != "paper"}
     fitted.update(_ktable(left_read(d.nf, m - 1, 0), "K"))
@@ -370,10 +388,11 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
 
     The printed side sums (m + F x^alpha) beta_l (a+)^{m-l-1} a^{n-l-1} over
     0 <= l <= alpha < n, pairing the coefficient tower of the one-lower power
-    product a^{n-1} (a+)^{m-1}; level l is one row, its K-polynomial summed over
-    alpha = l..n-1.  The status grades the printed closed-form tower; the
-    engine's tower is graded too (`assembly_oracle_beta`), and it is checked
-    against that power product as a matrix (`tower_matrix_residual`).
+    product a^{n-1} (a+)^{m-1}; level l is one `_level_rows` row, summed over
+    alpha = l..n-1, and at n = 1 it is the single-mode side bit for bit.  The
+    status grades the printed closed-form tower; the engine's tower is graded
+    too (`assembly_oracle_beta`), and it is checked against that power product
+    as a matrix (`tower_matrix_residual`).
     """
     rep = _rep(params, dim)
     lam = params.lam
@@ -382,11 +401,11 @@ def check_general(params: AlgebraParams, dim: int, n: int, m: int) -> IdentityCh
     on_support = d.nf.support() <= {(m - 1 - l, n - 1 - l) for l in levels}
 
     F = f_kpoly(params, m, "paper")
-    prefs = [_kpoly(params, m, lambda _, r: F[r] * root_power(lam, alpha)) for alpha in range(n)]
+    prefs = [_prefactor(params, m, F, alpha) for alpha in range(n)]
 
     def rows(betas):
-        return [(tuple(map(sum, zip(*(kpoly_mul(pref, beta) for pref in prefs[l:])))),
-                 m - l - 1, n - l - 1) for l, beta in zip(levels, betas)]
+        pairs = [[(pref, beta) for pref in prefs[l:]] for l, beta in zip(levels, betas)]
+        return _level_rows(pairs, m - 1, n - 1)
 
     tower = beta_tower_raw(n - 1, m, params)
     tower_nf = kpoly_left_sum(((poly, m - 1 - l, n - 1 - l) for l, poly in zip(levels, tower)), lam)
@@ -501,17 +520,14 @@ def _xi_side(params: AlgebraParams, s: int, m: int, t: int):
     Term l (0 <= l <= m-1) is (m - l) (t + F x^{l+s}) beta_l^{[s]} with the
     tower taken from the product of m lowering factors against t raising
     factors, and the bracketed-power substitution x^j -> x^{js} applied to
-    the printed beta formulas.  Returns m K-polynomials, one per level, built
-    once per argument and shared by every check.
+    the printed beta formulas.  Returns m K-polynomials, one per level (the
+    sum of m - l equal `_level_rows` pairs, bit for bit (m - l) times one
+    product while m - l <= 3), built once per argument and shared by every check.
     """
     F = f_kpoly(params, t + 1, "paper")
-    out = []
-    for l in range(m):
-        phase = root_power(params.lam, l + s)
-        pref = _kpoly(params, t, lambda _, r: F[r] * phase)
-        beta = beta_closed_form(m, t + 1, l, params, subst=s)
-        out.append(tuple((m - l) * c for c in kpoly_mul(pref, beta)))
-    return tuple(out)
+    levels = [[(_prefactor(params, t, F, l + s), beta_closed_form(m, t + 1, l, params, subst=s))]
+              * (m - l) for l in range(m)]
+    return tuple(poly for poly, _, _ in _level_rows(levels, t - 1, m - 1))
 
 
 def check_winf(params: AlgebraParams, dim: int) -> list:
@@ -683,7 +699,7 @@ def _wconst_checks() -> tuple:
         for j in range(4):
             for l in range(4):
                 values = dual_readings(i, j, l, 1, -1)
-                values["g"] = values["phi_literal"] * values["N_literal"] / (2.0 * (l + 1))
+                values["g"] = g_factor(values["N_literal"], values["phi_literal"], i, j, l, 1, -1)
                 values["readings"] = "N=literal,phi=literal"
                 checks.append(_ungraded(f"wconst.g.i{i}.j{j}.l{l}", "pass", values))
     return tuple(checks)

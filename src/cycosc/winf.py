@@ -14,9 +14,11 @@ with
 
 The printed N and phi formulas contain garbled factors, so both a literal
 transcription and the standard corrected reading are computed side by side;
-which one is used is recorded, never silently chosen.  All of this is
-standalone: the realized algebra is centerless and these values are never
-compared against it.
+which one is used is recorded, never silently chosen.  `dual_readings`
+evaluates N and phi once per reading; `winf_structure`, the payload of
+`cycosc wconst`, reads the chosen readings from it, and `g_factor` forms g
+for it and for the wconst suite.  All of this is standalone: the realized
+algebra is centerless and these values are never compared against it.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ import math
 from fractions import Fraction
 
 from .errors import NotFinite, PoleInPochhammer
-from .record import Record
 
 N_READINGS = ("literal", "alt")
 PHI_READINGS = ("literal", "alt")
 PHI_SERIES_CAP = 64
+# The largest i, j or l that `winf_structure` evaluates.  N's binomials C(l+1, k)
+# convert to a double up to l = 1028, and N costs O(l^2): `cycosc wconst` at
+# i = j = l = 1000 takes 0.16 s in-process on one core of a 2-core x86 host.
+INDEX_MAX = 1000
 
 
 def falling(x: float, n: int) -> float:
@@ -80,22 +85,26 @@ def mode_factor(i: int, j: int, l: int, m: int, n: int, reading: str = "literal"
     'alt' uses the mixed-sign pattern [i+1+m] [i+1-m] [j+1+n] [j+1-n], the
     standard form (and the one whose l = 0 value reproduces the classical
     bracket coefficient m (j+1) - n (i+1)).  Raises NotFinite when the sum
-    overflows.
+    overflows, or when a mode or binomial is too large for a double.
     """
     if reading not in N_READINGS:
         raise ValueError(f"unknown N reading {reading!r}")
+    name = f"N({i},{j},{l})({m},{n})"
     acc = 0.0
-    for k in range(l + 2):
-        second = falling(i + 1 + m, k) if reading == "literal" else falling(i + 1 - m, k)
-        acc += (
-            (-1) ** k
-            * math.comb(l + 1, k)
-            * falling(i + 1 + m, l + 1 - k)
-            * second
-            * falling(j + 1 + n, k)
-            * falling(j + 1 - n, l + 1 - k)
-        )
-    return _finite(acc, f"N({i},{j},{l})({m},{n})")
+    try:
+        for k in range(l + 2):
+            second = falling(i + 1 + m, k) if reading == "literal" else falling(i + 1 - m, k)
+            acc += (
+                (-1) ** k
+                * math.comb(l + 1, k)
+                * falling(i + 1 + m, l + 1 - k)
+                * second
+                * falling(j + 1 + n, k)
+                * falling(j + 1 - n, l + 1 - k)
+            )
+    except OverflowError as err:  # an integer factor too large for a double
+        raise NotFinite(f"{name}: {err}: the series overflows") from err
+    return _finite(acc, name)
 
 
 def phi_factor(i: int, j: int, l: int, reading: str = "literal") -> float:
@@ -146,70 +155,45 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
-class WInfConstants(Record):
-    """One structure-constant evaluation, with dual readings recorded."""
-
-    __slots__ = __match_args__ = ("i", "j", "l", "m", "n", "c_i", "c_i_m", "value_N",
-                                  "value_phi", "value_g", "n_reading", "phi_reading")
-
-    def __init__(self, i: int, j: int, l: int, m: int, n: int, c_i: Fraction,
-                 c_i_m: Fraction, value_N: float, value_phi: float, value_g: float,
-                 n_reading: str, phi_reading: str):
-        self.i = i
-        self.j = j
-        self.l = l
-        self.m = m
-        self.n = n
-        self.c_i = c_i
-        self.c_i_m = c_i_m
-        self.value_N = value_N
-        self.value_phi = value_phi
-        self.value_g = value_g
-        self.n_reading = n_reading
-        self.phi_reading = phi_reading
+def g_factor(value_n: float, value_phi: float, i: int, j: int, l: int, m: int, n: int) -> float:
+    """g^{ij}_{2l}(m, n) = phi N / (2 (l + 1)); raises NotFinite when it overflows."""
+    return _finite(value_phi * value_n / (2.0 * (l + 1)), f"g({i},{j},{l})({m},{n})")
 
 
-def winf_structure(
-    i: int,
-    j: int,
-    l: int,
-    m: int,
-    n: int,
-    n_reading: str = "literal",
-    phi_reading: str = "literal",
-) -> WInfConstants:
-    """Evaluate c_i, c_i(m), N^{ij}_l(m,n), phi^{ij}_l and g^{ij}_{2l}(m,n).
+def winf_structure(i: int, j: int, l: int, m: int, n: int, n_reading: str = "literal",
+                   phi_reading: str = "literal") -> dict:
+    """The `cycosc wconst` payload: c_i, c_i(m), and N, phi and g under the chosen readings.
 
-    Raises NotFinite when any of the floating-point values overflows.
+    N and phi come from `dual_readings`, once per reading: the chosen ones,
+    then g, then the others, so an overflow names the first value it meets.
+    Raises ValueError for an index i, j or l below 0 or above INDEX_MAX
+    before evaluating anything, and NotFinite when a value overflows.
     """
     if min(i, j, l) < 0:
         raise ValueError("indices i, j, l must be non-negative")
-    value_n = mode_factor(i, j, l, m, n, n_reading)
-    value_phi = phi_factor(i, j, l, phi_reading)
-    value_g = _finite(value_phi * value_n / (2.0 * (l + 1)), f"g({i},{j},{l})({m},{n})")
-    return WInfConstants(
-        i=i,
-        j=j,
-        l=l,
-        m=m,
-        n=n,
-        c_i=central_charge(i),
-        c_i_m=central_term(i, m),
-        value_N=value_n,
-        value_phi=value_phi,
-        value_g=value_g,
-        n_reading=n_reading,
-        phi_reading=phi_reading,
-    )
+    for name, index in (("i", i), ("j", j), ("l", l)):
+        if index > INDEX_MAX:
+            raise ValueError(f"index {name} = {index} is above the bound {INDEX_MAX}")
+    both = dual_readings(i, j, l, m, n, (n_reading,), (phi_reading,))
+    value_n, value_phi = both[f"N_{n_reading}"], both[f"phi_{phi_reading}"]
+    value_g = g_factor(value_n, value_phi, i, j, l, m, n)
+    both.update(dual_readings(i, j, l, m, n, [r for r in N_READINGS if r != n_reading],
+                              [r for r in PHI_READINGS if r != phi_reading]))
+    c_i = central_charge(i)
+    return {"i": i, "j": j, "l": l, "m": m, "n": n,
+            "c_i": f"{c_i.numerator}/{c_i.denominator}", "c_i_m": float(central_term(i, m)),
+            "value_N": value_n, "value_phi": value_phi, "value_g": value_g,
+            "N_reading": n_reading, "phi_reading": phi_reading, "dual_readings": both}
 
 
-def dual_readings(i: int, j: int, l: int, m: int, n: int) -> dict:
-    """N^{ij}_l(m, n) and phi^{ij}_l under every reading, keyed N_<reading> and phi_<reading>.
+def dual_readings(i: int, j: int, l: int, m: int, n: int, n_readings=N_READINGS,
+                  phi_readings=PHI_READINGS) -> dict:
+    """N^{ij}_l(m, n) and phi^{ij}_l under the given readings, keyed N_<reading> and phi_<reading>.
 
     N does not depend on the phi reading, nor phi on the N reading, so one
     evaluation per reading covers every combination.
     """
-    table = {f"N_{reading}": mode_factor(i, j, l, m, n, reading) for reading in N_READINGS}
-    for reading in PHI_READINGS:
+    table = {f"N_{reading}": mode_factor(i, j, l, m, n, reading) for reading in n_readings}
+    for reading in phi_readings:
         table[f"phi_{reading}"] = phi_factor(i, j, l, reading)
     return table

@@ -376,8 +376,8 @@ def test_wconst_dual_readings_match_structure(capsys):
     for nr in ("literal", "alt"):
         for pr in ("literal", "alt"):
             const = winf_structure(2, 1, 1, 2, -1, n_reading=nr, phi_reading=pr)
-            assert both[f"N_{nr}"] == const.value_N
-            assert both[f"phi_{pr}"] == const.value_phi
+            assert both[f"N_{nr}"] == const["value_N"]
+            assert both[f"phi_{pr}"] == const["value_phi"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Byte-level contract: full-suite reports at the dim=64 grid configs, at two
 verify-sweep-shaped configs (lambda 7, dim 20 and lambda 8, dim 13) and at
-the grid's largest dim (lambda 5, dim 128).
+the grid's largest dim (lambda 5, dim 128), and the output of `cycosc wconst`
+in both formats at four argument sets.
 
 Each config pins two digests.  The verdict digest covers what a report
 decides: every check's id, status and fitted keys.  A change to the
@@ -98,3 +99,36 @@ def test_report_verdicts_pinned(report, cfg, _, digest):
     rows = [[c["id"], c["status"], sorted(c["fitted"] or {})]
             for c in json.loads(report(cfg))["checks"]]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
+# (wconst argv, text digest, json digest)
+WCONST_GOLDEN = [
+    (
+        (),
+        "6ded96fee14545c7d5a828fa7ff8a1ce019a479ce764014ea0de1e2d786ce9dd",
+        "8d06779135afe800d58b368b43a09076126cd96398db0fd4b0f30cc24ba5ac6c",
+    ),
+    (
+        ("--i", "2", "--j", "1", "--l", "1", "--m", "2", "--n", "-1"),
+        "32cda5f0e42ae36f5557ece77c36e44fa170ba42ef37c39acd7a8a4025c2156b",
+        "4dc52927e3eb81d849eb7060c4d348c34914fda917ee4327fdb3992cd2dc0453",
+    ),
+    (
+        ("--i", "3", "--j", "3", "--l", "3", "--N-reading", "alt", "--phi-reading", "alt"),
+        "62cfca70091411b53a5987dfc529f206a7eb8d939f2ff3c4875db7f47df423e4",
+        "e3b06cb97b7c710b7ed6809cb0c498f98b380f4a175f860feec84ea526672f4c",
+    ),
+    (
+        ("--l", "2", "--phi-reading", "alt"),
+        "871240c07a9dab6e05929a7ac3f7fd5314cc6759aeb95722ea869a31785aa982",
+        "a5c26aed7657d3904aaafeb2a3cdecbef15812c2edc90b0c2d6b3b0510f900af",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text_digest, json_digest", WCONST_GOLDEN,
+                         ids=[" ".join(argv) or "defaults" for argv, _, _ in WCONST_GOLDEN])
+def test_wconst_bytes_pinned(capsys, argv, text_digest, json_digest):
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        assert main(["wconst", *argv, "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

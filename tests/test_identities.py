@@ -102,6 +102,18 @@ def test_general_consistent_with_single(params_l2):
     )
 
 
+@pytest.mark.parametrize("lam, alpha", [(2, (0.5, -0.5)), (3, (0.5, -1 / 3, -1 / 6)),
+                                        (5, (0.3, -0.1, 0.2, -0.25, -0.15)), (3, (0.0,) * 3)])
+def test_single_mode_is_level_zero_of_general_at_n1_bit_for_bit(lam, alpha):
+    """Both entries grade [a, (a+)^m] under the printed F: the single-mode side is level 0
+    of the general side at n = 1, so their published residuals have the same bits."""
+    params = validate_alpha(lam, alpha)
+    for m in range(1, 6):
+        single = check_single_mode(params, D, m).fitted["residual_paper"]
+        general = check_general(params, D, 1, m).residual_paper
+        assert single.hex() == general.hex(), m
+
+
 def test_general_oracle_crosscheck_undeformed(params_plain):
     check = check_general(params_plain, D, 2, 3)
     assert check.residual_best < 1e-10
@@ -445,7 +457,7 @@ def test_wconst_g_is_the_printed_reading_of_its_own_dual_readings(params_l2):
     for c in entries:
         i, j, l = map(int, re.fullmatch(r"wconst\.g\.i(\d)\.j(\d)\.l(\d)", c["id"]).groups())
         assert c["fitted"] == {**dual_readings(i, j, l, 1, -1), "readings": "N=literal,phi=literal",
-                               "g": winf_structure(i, j, l, 1, -1).value_g}
+                               "g": winf_structure(i, j, l, 1, -1)["value_g"]}
 
 
 # which id families (the id up to its first dot) each --suite name runs

@@ -1,8 +1,10 @@
 """Layout rules for the package source."""
 
+import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +49,21 @@ def test_exports_match_all():
     assert len(cycosc.__all__) == len(set(cycosc.__all__))
     for name in cycosc.__all__:
         assert getattr(cycosc, name) is not None, name
+
+
+def test_readme_names_exactly_the_parser_options():
+    """Every `--option` README.md names is an option of `cycosc` or of a subcommand, and
+    every option but --help and --version is named there."""
+    from cycosc.cli import build_parser
+
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {option for p in (parser, *subs.choices.values()) for action in p._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named <= options, sorted(named - options)
+    assert options - {"--help", "--version"} <= named, sorted(options - named)
 
 
 def _imports_of(package: str) -> list:

@@ -2,7 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from cycosc import winf
+from cycosc.cli import main
+from cycosc.errors import NotFinite
 from cycosc.winf import (
+    INDEX_MAX,
     central_charge,
     central_term,
     dual_readings,
@@ -71,16 +75,16 @@ def test_dual_readings_run_over_grid():
                 for nr in ("literal", "alt"):
                     for pr in ("literal", "alt"):
                         c = winf_structure(i, j, l, 1, -1, nr, pr)
-                        assert c.c_i > 0
-                        assert isinstance(c.value_g, float)
+                        assert Fraction(c["c_i"]) > 0
+                        assert isinstance(c["value_g"], float)
 
 
 def test_spot_value_both_readings_agree_here():
     lit = winf_structure(0, 0, 0, 1, -1, "literal", "literal")
     alt = winf_structure(0, 0, 0, 1, -1, "alt", "literal")
-    assert lit.value_N == pytest.approx(4.0)
-    assert alt.value_N == pytest.approx(4.0)
-    assert lit.value_g == pytest.approx(2.0)
+    assert lit["value_N"] == pytest.approx(4.0)
+    assert alt["value_N"] == pytest.approx(4.0)
+    assert lit["value_g"] == pytest.approx(2.0)
 
 
 def test_rejects_negative_indices():
@@ -119,5 +123,36 @@ def test_dual_readings_cover_every_reading_pair():
         for nr in ("literal", "alt"):
             for pr in ("literal", "alt"):
                 const = winf_structure(i, j, l, 1, -1, n_reading=nr, phi_reading=pr)
-                assert table[f"N_{nr}"] == const.value_N
-                assert table[f"phi_{pr}"] == const.value_phi
+                assert table[f"N_{nr}"] == const["value_N"]
+                assert table[f"phi_{pr}"] == const["value_phi"]
+                assert const["dual_readings"] == table
+
+
+@pytest.mark.parametrize("name", ["i", "j", "l"])
+def test_an_index_above_the_bound_is_refused_before_any_evaluation(monkeypatch, capsys, name):
+    """c_i stops printing (CPython's int string limit) between i = 3000 and 5000, and N's
+    binomials stop converting to a double at l = 1029; the bound refuses both first."""
+    def evaluated(*args):
+        raise AssertionError(f"evaluated {args}")
+
+    for fn in ("mode_factor", "phi_factor", "central_charge", "central_term"):
+        monkeypatch.setattr(winf, fn, evaluated)
+    indices = {"i": 0, "j": 0, "l": 0, name: INDEX_MAX + 1}
+    with pytest.raises(ValueError, match=f"index {name} = {INDEX_MAX + 1} .*bound {INDEX_MAX}"):
+        winf_structure(**indices, m=0, n=0)
+    for fmt in ("text", "json"):
+        assert main(["wconst", f"--{name}", "1000000", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: index {name} = 1000000 is above the bound {INDEX_MAX}\n"
+
+
+def test_a_mode_too_large_for_a_double_is_not_finite(capsys):
+    """An integer factor that no double holds names N, as a sum that overflows does."""
+    m = 10 ** 400
+    with pytest.raises(NotFinite, match=rf"^N\(0,0,0\)\({m},0\): int too large"):
+        mode_factor(0, 0, 0, m, 0)
+    assert main(["wconst", "--m", str(m)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: N(0,0,0)({m},0): ") and err.endswith("the series overflows\n")
