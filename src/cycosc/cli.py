@@ -248,8 +248,8 @@ def cmd_nf(args) -> int:
     tree = parse(args.expr) if args.command == "nf" else _commutator(args)
     try:
         nf = normal_form(tree, params)
-    except OverflowError as err:  # a finite coefficient whose modulus passes DBL_MAX
-        raise NotFinite(f"the normal form of {args.expr!r} overflows: {err}") from err
+    except NotFinite as err:  # a finite coefficient whose modulus passes DBL_MAX
+        raise NotFinite(f"the normal form of {args.expr!r} overflows: {err.__cause__}") from err
     if not all(cmath.isfinite(c) for c in nf.terms.values()):
         raise NotFinite(f"the normal form of {args.expr!r} has a non-finite coefficient")
     text = format_nf_json(nf) if args.format == "json" else format_nf_text(nf)

@@ -32,7 +32,7 @@ from itertools import repeat
 from operator import add, mul
 
 from . import expr as ex
-from .errors import BadRange, LambdaMismatch, UnknownSymbol
+from .errors import BadRange, LambdaMismatch, NotFinite, UnknownSymbol
 from .fock import Banded, FockRep
 from .params import AlgebraParams, root_power, root_table
 from .record import Record
@@ -296,8 +296,17 @@ def _ordered_monomial(factors) -> tuple | None:
 def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
     """Canonical expansion of an expression tree (total on valid input).
 
-    Dispatches on the exact node type, products first.
+    A finite coefficient whose modulus passes DBL_MAX, which the prune's
+    `abs` cannot take, raises NotFinite; a non-finite one is kept.
     """
+    try:
+        return _expand(e, params)
+    except OverflowError as err:
+        raise NotFinite(f"a coefficient's modulus overflows: {err}") from err
+
+
+def _expand(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
+    """`normal_form` of `e`, dispatched on the exact node type, products first."""
     lam = params.lam
     kind = type(e)
     if kind is ex.Product:
@@ -305,9 +314,9 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
         ordered = _ordered_monomial(factors)
         if ordered is not None:
             return nf_monomial(lam, *ordered)
-        acc = normal_form(factors[0], params)
+        acc = _expand(factors[0], params)
         for f in factors[1:]:
-            acc = _mul(acc, normal_form(f, params), lam, params.kappa)
+            acc = _mul(acc, _expand(f, params), lam, params.kappa)
         return acc
     if kind is ex.Atom:
         name = e.kind
@@ -322,19 +331,19 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
         ordered = _ordered_monomial((e,))  # a power of one generator
         if ordered is not None:
             return nf_monomial(lam, *ordered)
-        return nf_power(normal_form(e.base, params), e.exponent, params)
+        return nf_power(_expand(e.base, params), e.exponent, params)
     if kind is ex.Scalar:
         return _pruned(lam, {(0, 0, 0): complex(e.value)})
     if kind is ex.Sum:
         terms = e.terms
-        acc = dict(normal_form(terms[0], params).terms)
+        acc = dict(_expand(terms[0], params).terms)
         for t in terms[1:]:
-            accumulate(acc, normal_form(t, params).terms)
+            accumulate(acc, _expand(t, params).terms)
         return NormalForm(lam, acc)
     if kind is ex.Commutator or kind is ex.Anticommutator:
         # LR - RL or LR + RL, summed into the fresh dict of LR
-        lf = normal_form(e.left, params)
-        rf = normal_form(e.right, params)
+        lf = _expand(e.left, params)
+        rf = _expand(e.right, params)
         out = _mul(lf, rf, lam, params.kappa).terms
         scale = -1.0 + 0.0j if kind is ex.Commutator else None
         accumulate(out, _mul(rf, lf, lam, params.kappa).terms, scale)

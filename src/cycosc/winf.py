@@ -180,8 +180,12 @@ def winf_structure(i: int, j: int, l: int, m: int, n: int, n_reading: str = "lit
     both.update(dual_readings(i, j, l, m, n, [r for r in N_READINGS if r != n_reading],
                               [r for r in PHI_READINGS if r != phi_reading]))
     c_i = central_charge(i)
+    try:
+        c_i_m = float(central_term(i, m))
+    except OverflowError as err:  # a rational too large for a double
+        raise NotFinite(f"c_{i}({m}): {err}") from err
     return {"i": i, "j": j, "l": l, "m": m, "n": n,
-            "c_i": f"{c_i.numerator}/{c_i.denominator}", "c_i_m": float(central_term(i, m)),
+            "c_i": f"{c_i.numerator}/{c_i.denominator}", "c_i_m": c_i_m,
             "value_N": value_n, "value_phi": value_phi, "value_g": value_g,
             "N_reading": n_reading, "phi_reading": phi_reading, "dual_readings": both}
 

@@ -26,44 +26,44 @@ from cycosc.cli import main
 GOLDEN = [
     (
         ("--lambda", "2", "--alpha", "0.5,-0.5"),
-        "74baaf2f0a9ff99cac081ce776f26a05a5b668ae8bfd015f7cde9a351ab1badc",
-        "2995a51a59f24ef9c0ba204f58393838a480c8a784ee1446df49a88ba13407a1",
+        "710a349a58821cc1fa19c3088193fbb6c804ef2996a68bb9a16d3208aad2467f",
+        "a12c7c941a41629a44bf2928895b3d5ac23603d3e63333e8a1faa64e1e5ef86b",
     ),
     (
         ("--lambda", "2", "--alpha", "0,0"),
-        "202884fb229261828ae69b3ad068220f78a337758b3a1a1fdb31c024c0b12e75",
-        "7735fed66dc43878a43d7680cae7fb43c34cf9a7a704ea7339467c969f4e2821",
+        "f2fd788a8fcbcbee3372594d8c758030f4a854ce89726946e37abaf045f34364",
+        "44c8c64fdd0765158a6ee3f7e67fd9036ea9a62e9ffa5e34358a09d1e06d322a",
     ),
     (
         ("--lambda", "3", "--kappa", "0.2:0.1,0.2:-0.1"),
-        "7f46689401ee14be956b497637a54b0e364161dc9e0f7ddd389bab2f8747b51e",
-        "04c8e8ebcbb365081557ffd4339cceff9a289d01e8ea5a7f2a2243f10aa465ef",
+        "14e6e2f03eb5733d2db940eda55f7e67f2fa650a217ff90038f40eb24efc5b1b",
+        "5e99c57371e32ee664f956abb43afc13f78dd817171a02f5cfad629139698cc0",
     ),
     (
         ("--lambda", "5", "--alpha", "0.3,-0.1,0.2,-0.25,-0.15"),
-        "8e87823339ea0a3346a29609924a7603e5c2473149130a2d23935160938eaa53",
-        "fd747a4182983c56a78bbf43ddf487f49ffcfc4dde116eb7a666b3898cc81d0e",
+        "eb02d6d69054ada970af962af3a40ae524fa5843f58ef3047b8d543298c3bd87",
+        "be88577e1706526880796e4e5c7d70057f5d9850f7b77388daea36ceea996792",
     ),
     (
         # the kappa form of the first config, whose report it equals byte for byte
         ("--lambda", "2", "--kappa", "0.5"),
-        "74baaf2f0a9ff99cac081ce776f26a05a5b668ae8bfd015f7cde9a351ab1badc",
-        "2995a51a59f24ef9c0ba204f58393838a480c8a784ee1446df49a88ba13407a1",
+        "710a349a58821cc1fa19c3088193fbb6c804ef2996a68bb9a16d3208aad2467f",
+        "a12c7c941a41629a44bf2928895b3d5ac23603d3e63333e8a1faa64e1e5ef86b",
     ),
     (
         ("--lambda", "7", "--alpha", "0.3,-0.2,0.1,-0.4,0.2,0.15,-0.15", "--dim", "20"),
-        "b57f79995656f822f832596a679424d1d92c429baa509a3f826aaa4bc5031cd3",
-        "231797ec3b3b6dbc4dc8ae01b150840bfe2446331a7d51f08c10549a2862644c",
+        "8ca675c48a2f4528c5b1aac07a42ddbfbf4fe7226ebfc7808fc9dfa0d70f4ffa",
+        "8c841ddabf07dfbf7276bb45ae7567f04fec287461351d8359aa47a70fb6ec8d",
     ),
     (
         ("--lambda", "8", "--alpha", "0.3,-0.2,0.1,-0.4,0.2,0.15,-0.15,0.0", "--dim", "13"),
-        "80983701765982a4671734d2da4638b3b4f86566a33b694c50c55988dcf9e712",
-        "46643651413e7b4e17e3d73622e551dda3f23752e50d3c2cbe8aabd625fdefd0",
+        "a8488be5222d5098711863f3c6f09a862a07a7f524f197ee36c836d7f86b31b1",
+        "176210a11fc6310689a746b6ee635b1f06898863347886d20df5143b59471373",
     ),
     (
         ("--lambda", "5", "--alpha", "0.3,-0.1,0.2,-0.25,-0.15", "--dim", "128"),
-        "62e90328a7b8212731fef26c7cacb73107cf050dece776a99e05a52133e41e96",
-        "fd747a4182983c56a78bbf43ddf487f49ffcfc4dde116eb7a666b3898cc81d0e",
+        "75dc300f5eb160d44ae0715368af0d58bc4f4e94617eedaaf92a99dbecbec921",
+        "be88577e1706526880796e4e5c7d70057f5d9850f7b77388daea36ceea996792",
     ),
 ]
 IDS = [" ".join(cfg) for cfg, _, _ in GOLDEN]

@@ -2,11 +2,12 @@ import inspect
 import json
 import math
 import re
+from itertools import product
 
 import numpy as np
 import pytest
 
-from cycosc import identities
+from cycosc import identities, normal_order
 from cycosc.errors import (
     DimTooSmall, EmptyWindow, IndexOutOfRealization, NotFinite, WrongLambda,
 )
@@ -118,7 +119,6 @@ def test_general_oracle_crosscheck_undeformed(params_plain):
     check = check_general(params_plain, D, 2, 3)
     assert check.residual_best < 1e-10
     assert check.fitted["on_support"]
-    assert check.fitted["tower_matrix_residual"] < 1e-10
     # the double-sum layout over-counts the ladder for two lowering factors
     assert check.status in ("pass", "discrepancy")
 
@@ -127,6 +127,36 @@ def test_general_deformed_recorded(params_l2):
     check = check_general(params_l2, D, 2, 2)
     assert check.residual_best < 1e-8
     assert check.fitted["assembly_oracle_beta"] is not None
+
+
+@pytest.mark.parametrize("lam, alpha", [(2, (0.5, -0.5)), (3, (0.3, 0.2, -0.5)),
+                                        (5, (0.3, -0.1, 0.2, -0.25, -0.15))])
+def test_a_corrupted_reordering_core_fails_its_own_general_entry(monkeypatch, lam, alpha):
+    """The rewrite engine's core a^q (a+)^p, off by a factor 1 + 1e-6, fails general.nq.mp.
+
+    That entry's gate reads the core through its bracket; general.n(q+1).m(p+1),
+    whose engine tower is that core, keeps its status.
+    """
+    params = validate_alpha(lam, alpha)
+    real = normal_order._reorder_core
+    clean = {(n, m): check_general(params, 24, n, m).status
+             for n in range(1, 5) for m in range(1, 9)}
+    for q, p in product(range(1, 4), range(1, 8)):
+
+        def corrupted(lam_, kappa, q_, p_):
+            core = real(lam_, kappa, q_, p_)
+            if (q_, p_) == (q, p):
+                return tuple((key, c * (1 + 1e-6)) for key, c in core)
+            return core
+
+        real.cache_clear()
+        monkeypatch.setattr(normal_order, "_reorder_core", corrupted)
+        try:
+            assert check_general(params, 24, q, p).status == "fail", (q, p)
+            assert check_general(params, 24, q + 1, p + 1).status == clean[q + 1, p + 1], (q, p)
+        finally:
+            monkeypatch.undo()
+            real.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -536,27 +566,6 @@ def test_dual_gate_floors_at_one_and_refuses_a_nan_scale(params_l2):
     with pytest.raises(NotFinite, match=r"^gate nan at dim 4"):
         _Dual(rep, nan, empty, SafeWindow(0, 3))
     assert _Dual(rep, nan, empty, SafeWindow(0, 2)).gate == 0.5
-
-
-def test_a_non_finite_tower_gate_is_refused_naming_its_check(monkeypatch, params_l2):
-    """A general check grades its tower as a `_Dual`, whose non-finite gate is not graded.
-
-    The first `_Dual` of general.n1.m1 is its bracket and the second its
-    tower; only the tower's matrix is spoiled.
-    """
-    real = _Dual.__init__
-    built = []
-
-    def init(self, rep, mat, nf, window):
-        built.append(mat)
-        if len(built) == 2:
-            mat = mat + Banded(rep.dim, {0: (complex(math.nan, 0.0),) * rep.dim})
-        real(self, rep, mat, nf, window)
-
-    monkeypatch.setattr(_Dual, "__init__", init)
-    with pytest.raises(NotFinite, match=r"^general\.n1\.m1: gate nan at dim 16"):
-        run_suite(params_l2, 16, ("general",))
-    assert len(built) == 2
 
 
 ROW_CLAIMS = ("single.", "general.", "virasoro.", "lambda2.ee.", "lambda2.oo.", "lambda2.eo.",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cycosc import expr as ex
 from cycosc import normal_order
-from cycosc.errors import BadRange, LambdaMismatch
+from cycosc.errors import BadRange, LambdaMismatch, NotFinite
 from cycosc.expr import parse
 from cycosc.fock import Banded, apply_word, build_rep, safe_window
 from cycosc.normal_order import (
@@ -268,8 +268,8 @@ def test_closed_form_covers_every_level(lam):
 
 def test_closed_form_matches_oracle_undeformed_edges():
     """Bottom (l <= 3) and top (l = n, n-1) printed cases agree with the
-    oracle when the deformation is switched off; the mid-tower cases do not,
-    which the verification suite records rather than asserts."""
+    oracle when the deformation is switched off; the mid-tower cases do not
+    (see the next test)."""
     params = validate_alpha(3, (0.0, 0.0, 0.0))
     for n in range(1, 7):
         for m in range(n + 1, n + 4):
@@ -279,6 +279,28 @@ def test_closed_form_matches_oracle_undeformed_edges():
                     continue
                 closed = beta_closed_form(n, m, l, params)
                 assert max(map(abs, np.subtract(closed, tower[l]))) < 1e-9, (n, m, l)
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+def test_closed_form_mid_tower_differs_from_the_engine_undeformed(lam):
+    """The printed mid-tower case (4 <= l <= n - 2, so n >= 6) is off at alpha = 0.
+
+    `verify` never reaches it: `general` reads the tower of a^(n-1) with
+    n - 1 <= 3, and winf's Xi^(s,m) that of a^m with m <= 3.  Over n <= 8,
+    m <= 9 and the levels whose monomial exists (l <= m - 1), 26 triples
+    differ, every one of them mid-tower.
+    """
+    params = validate_alpha(lam, (0.0,) * lam)
+    off = []
+    for n in range(1, 9):
+        for m in range(1, 10):
+            tower = beta_tower_raw(n, m, params)
+            for l in range(min(n, m - 1) + 1):
+                closed = beta_closed_form(n, m, l, params)
+                if max(map(abs, np.subtract(closed, tower[l]))) > 1e-9:
+                    off.append((n, m, l))
+    assert len(off) == 26
+    assert all(4 <= l <= n - 2 for n, _, l in off)
 
 
 def test_closed_form_deformed_comparison_is_recorded_shape(params_l2):
@@ -679,6 +701,14 @@ def test_normal_form_leaves_the_forms_it_combines_unchanged(tree):
          mock.patch.object(normal_order, "accumulate", _keeps_its_inputs(accumulate, owned=1)):
         try:
             got = normal_form(tree, _L3)
-        except OverflowError:  # a finite coefficient too large for `abs`
+        except NotFinite:  # a finite coefficient too large for `abs`
             return
     _same_bits(normal_form(tree, _L3), got)
+
+
+def test_a_modulus_past_dbl_max_is_not_finite():
+    """A finite coefficient too large for the prune's `abs`, at the top or inside a product,
+    raises NotFinite from `normal_form` (`nf_mul` keeps its OverflowError)."""
+    for text in ("(1.5e308,1.5e308)", "1.4 (1e308,1e308) a"):
+        with pytest.raises(NotFinite, match="^a coefficient's modulus overflows: absolute value"):
+            normal_form(parse(text), _L3)

@@ -103,11 +103,11 @@ def test_every_changed_published_term_is_seen_at_every_dim(monkeypatch, lam, cou
     assert len(terms) == count
 
 
-def test_nf_to_matrix_runs_once_per_dual_and_per_tower(monkeypatch):
+def test_nf_to_matrix_runs_once_per_dual_one_gate_per_general_entry(monkeypatch):
     """Published sides never become matrices: every nf_to_matrix call is a gate.
 
-    The tower of each `general` check is graded as a `_Dual` of its own, so
-    the suite's duals are its brackets and its towers.
+    Each `_Dual` is the gate of a reported bracket, so a `general` entry
+    builds one and a full lambda 5 run builds 286.
     """
     params = validate_alpha(5, ALPHAS[5])
     real_init, real_to_matrix = _Dual.__init__, identities.nf_to_matrix
@@ -123,13 +123,12 @@ def test_nf_to_matrix_runs_once_per_dual_and_per_tower(monkeypatch):
 
     monkeypatch.setattr(_Dual, "__init__", init)
     monkeypatch.setattr(identities, "nf_to_matrix", to_matrix)
-    checks = run_suite(params, 64)["checks"]
-    towers = sum("tower_matrix_residual" in (c["fitted"] or {}) for c in checks)
-    assert towers == 32
-    assert calls["nf_to_matrix"] == calls["duals"]
+    run_suite(params, 64)
+    assert calls == {"duals": 286, "nf_to_matrix": 286}
     calls.update(duals=0, nf_to_matrix=0)
-    run_suite(params, 64, ("general",))
-    assert calls == {"duals": 2 * towers, "nf_to_matrix": 2 * towers}  # a bracket and a tower
+    entries = run_suite(params, 64, ("general",))["checks"]
+    assert len(entries) == 32
+    assert calls == {"duals": 32, "nf_to_matrix": 32}
 
 
 @pytest.mark.parametrize("stale", [False, True])

@@ -156,3 +156,16 @@ def test_a_mode_too_large_for_a_double_is_not_finite(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: N(0,0,0)({m},0): ") and err.endswith("the series overflows\n")
+
+
+def test_a_central_term_too_large_for_a_double_names_c_i_m(capsys):
+    """c_3(m) grows as m^9: past DBL_MAX it is refused as NotFinite naming it, in both formats."""
+    m = 10 ** 41
+    reason = "integer division result too large for a float"
+    with pytest.raises(NotFinite, match=rf"^c_3\({m}\): {reason}$"):
+        winf_structure(3, 0, 0, m, 0)
+    for fmt in ("text", "json"):
+        assert main(["wconst", "--i", "3", "--m", str(m), "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: c_3({m}): {reason}\n"
