@@ -51,7 +51,6 @@ from .normal_order import (
     kpoly_mul,
     left_read,
     nf_mul,
-    nf_monomial,
     nf_sub,
     nf_to_matrix,
     normal_form,
@@ -126,25 +125,23 @@ def _rep(params: AlgebraParams, dim: int) -> FockRep:
     return build_rep(params, dim)
 
 
-def _verdict(check_id, window, gate, res_paper, res_best=None, fitted=None, ok=True):
-    """The one place where the gate and residuals become a status.
+def _verdict(check_id, window, gate, res_paper, fitted=None, ok=True):
+    """The one place where the gate and the published residual become a status.
 
     The tolerance is the one of the check's family (the id up to its first
-    dot); `res_best` defaults to the gate; `ok=False` (an off-support or
-    off-ladder normal form) and a non-finite `res_paper` fail like a failed gate.
+    dot); the gate is reported as `residual_best`.  `ok=False` (an off-support
+    or off-ladder normal form) and a non-finite `res_paper` fail like a failed gate.
     """
-    if res_best is None:
-        res_best = gate
     tol = TOL[check_id.split(".")[0]]
     if not (gate < GATE_TOL and ok and math.isfinite(res_paper)):
         status = "fail"
     elif res_paper < tol:
         status = "pass"
-    elif res_best < tol:
+    elif gate < tol:
         status = "discrepancy"
     else:
         status = "fail"
-    return IdentityCheck(check_id, (window.lo, window.hi), res_paper, res_best, fitted, status)
+    return IdentityCheck(check_id, (window.lo, window.hi), res_paper, gate, fitted, status)
 
 
 def _ungraded(check_id: str, status: str, fitted=None) -> IdentityCheck:
@@ -449,24 +446,20 @@ def _klein(params: AlgebraParams, dim: int, check_id: str, s: int, m: int, claim
            k_left=False, grading=None) -> IdentityCheck:
     """[w, K] for the generator w = (a+)^s a^m, against `claimed` times the monomial wK.
 
-    The monomial is read with K on the right, (a+)^s a^m K, or with `k_left`
-    on the left, K (a+)^s a^m = x^(m-s) (a+)^s a^m K.  The fitted coefficient
-    is graded as the best residual; a measured `grading` is reported with
-    whether w commutes with K.
+    The monomial is read with K on the right, (a+)^s a^m K = x^(s-m) K (a+)^s a^m,
+    or with `k_left` on the left, K (a+)^s a^m: one row of `_closes_on`, on
+    the support {(s, m)}.  The fitted coefficient is read on the printed
+    side; a measured `grading` is reported with whether w commutes with K.
     """
-    lam = params.lam
     d = _dual(_rep(params, dim), ex.Commutator(_mono_expr(s, m), ex.KLEIN))
-    c_fit = d.nf.coefficient(s, m, 1)
-    phase = root_power(lam, m - s) if k_left else 1.0  # monomial: phase (a+)^s a^m K
-    if k_left:
-        c_fit = c_fit * root_power(lam, s - m)
-    res_fit = d.against(nf_monomial(lam, s, m, 1, c_fit * phase))
-    fitted = {"coefficient": _c2(c_fit), "claimed": _c2(claimed)}
+    left = claimed if k_left else claimed * root_power(params.lam, s - m)
+    coefficient = left_read(d.nf, s, m)[1] if k_left else d.nf.coefficient(s, m, 1)
+    fitted = {"coefficient": _c2(coefficient), "claimed": _c2(claimed)}
     if grading is not None:
         fitted["grading"] = _c2(grading)
-        fitted["commutes"] = bool(res_fit < 1e-10 and abs(c_fit) < 1e-10)
-    res_paper = d.against(nf_monomial(lam, s, m, 1, claimed * phase))
-    return _verdict(check_id, d.window, d.gate, res_paper, max(res_fit, d.gate), fitted)
+        fitted["commutes"] = bool(abs(coefficient) < 1e-10)
+    row = ((0j, left, *(0j,) * (params.lam - 2)), s, m)
+    return _closes_on(d, check_id, [row], fitted, d.nf.support() <= {(s, m)})
 
 
 def check_klein_virasoro(params: AlgebraParams, dim: int, m: int) -> IdentityCheck:
@@ -601,9 +594,8 @@ def check_klein_winf(params: AlgebraParams, dim: int, s: int, m: int) -> Identit
     The measured grading is x^{s-m} - 1: the generator commutes with K
     exactly when s = m (mod lam), not when s + m = 0 (mod lam).
     """
-    lam = params.lam
-    return _klein(params, dim, f"klein_w.s{s}.m{m}", s, m, root_power(lam, s + m) - 1.0,
-                  k_left=True, grading=root_power(lam, s - m) - 1.0)
+    return _klein(params, dim, f"klein_w.s{s}.m{m}", s, m, root_power(params.lam, s + m) - 1.0,
+                  k_left=True, grading=root_power(params.lam, s - m) - 1.0)
 
 
 def check_sp2(params: AlgebraParams, dim: int) -> list:
@@ -690,7 +682,8 @@ def _wconst_checks() -> tuple:
         for m in range(-(i + 1), i + 2):
             if central_term(i, m) != 0:
                 worst = 1.0
-    checks = [_verdict("wconst.central", SafeWindow(0, 0), 0.0, worst, worst, fitted)]
+    status = "pass" if worst < TOL["wconst"] else "fail"
+    checks = [IdentityCheck("wconst.central", (0, 0), worst, worst, fitted, status)]
     for i in range(4):
         for j in range(4):
             for l in range(4):

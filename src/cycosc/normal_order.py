@@ -209,13 +209,16 @@ def nf_power(x: NormalForm, n: int, params: AlgebraParams) -> NormalForm:
     `Banded.power`'s order, and its power costs O(log n) products.  Any other
     x, and every n <= 3, is multiplied onto the identity one factor at a
     time: the power of such an x grows with n, and multiplying it by the
-    small x costs far less than squaring it.
+    small x costs far less than squaring it; its first power that is not
+    finite raises NotFinite.
     """
     acc = nf_monomial(params.lam, 0, 0, 0)
     one_sided = len(x.terms) <= 1 and not any(p and q for p, q, _ in x.terms)
     if n <= 3 or not one_sided:
-        for _ in range(n):
+        for k in range(1, n + 1):
             acc = nf_mul(acc, x, params)
+            if not all(map(cmath.isfinite, acc.terms.values())):
+                raise NotFinite(f"power {k} has a non-finite coefficient")
         return acc
     z = result = None
     while n > 0:  # bits from the lowest up, squaring z at each
@@ -297,7 +300,8 @@ def normal_form(e: ex.OperatorExpr, params: AlgebraParams) -> NormalForm:
     """Canonical expansion of an expression tree (total on valid input).
 
     A finite coefficient whose modulus passes DBL_MAX, which the prune's
-    `abs` cannot take, raises NotFinite; a non-finite one is kept.
+    `abs` cannot take, and a power multiplied factor by factor past its
+    first non-finite power raise NotFinite; any other non-finite one is kept.
     """
     try:
         return _expand(e, params)

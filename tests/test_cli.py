@@ -595,6 +595,17 @@ def test_nf_refuses_a_non_finite_coefficient(capsys, text, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_nf_names_the_first_power_that_is_not_finite(capsys, fmt):
+    """A power that leaves the doubles is refused at once, naming the input and the power."""
+    code, out, err = run(capsys, "nf", "(a ad)^5000", "--lambda", "2", "--format", fmt)
+    assert code == 2
+    reason = "overflows: power 219 has a non-finite coefficient"
+    assert err == f"error: the normal form of '(a ad)^5000' {reason}\n"
+    assert "None" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("text", ["0", "1e-20", "0*a"])
 def test_nf_of_zero_prints_as_a_cancelled_sum_does(capsys, text, fmt):
     """A scalar is pruned like any sum, so zero has one printed form."""

@@ -568,17 +568,16 @@ def test_dual_gate_floors_at_one_and_refuses_a_nan_scale(params_l2):
     assert _Dual(rep, nan, empty, SafeWindow(0, 2)).gate == 0.5
 
 
-ROW_CLAIMS = ("single.", "general.", "virasoro.", "lambda2.ee.", "lambda2.oo.", "lambda2.eo.",
-              "sp2.", "casimir.", "winf.")
-DIRECT = ("basic.", "klein_v.", "klein_w.", "lambda2.klein_")
+ROW_CLAIMS = ("single.", "general.", "virasoro.", "lambda2.", "klein_v.", "klein_w.", "sp2.",
+              "casimir.", "winf.")
 
 
 def test_every_row_claim_is_graded_by_closes_on(monkeypatch):
-    """`_closes_on` grades each K-polynomial row claim, single-mode and general included;
-    `_verdict` is called directly only by the checks that aggregate a relation's pairs,
-    print K on the right or have no realization."""
+    """`_closes_on` grades each K-polynomial row claim, single-mode, general and the Klein
+    brackets included; `_verdict` is called directly only by `check_basic`, which aggregates
+    a relation's pairs, and `wconst.central` is a recorded value with no realization."""
     real_closes, real_verdict = identities._closes_on, identities._verdict
-    closed, direct, inside = set(), set(), []
+    closed, direct, graded, inside = set(), set(), set(), []
 
     def closes_on(*args, **kwargs):
         inside.append(True)
@@ -602,24 +601,31 @@ def test_every_row_claim_is_graded_by_closes_on(monkeypatch):
               validate_alpha(3, (0.0,) * 3)]
     for p in params:
         for c in run_suite(p, 32)["checks"]:
-            if not c["id"].startswith(ROW_CLAIMS) or c["status"] == "not-applicable":
+            if not c["id"].startswith(ROW_CLAIMS):
+                if c["residual_paper"] is not None:
+                    graded.add(c["id"])
+                continue
+            if c["status"] == "not-applicable":
                 continue
             # a winf pair is graded once; its mirror is a copy of that entry under its own id
             pair = re.fullmatch(r"winf\.s(\d)\.m(\d)\.t(\d)\.n(\d)", c["id"])
             mirror = pair and "winf.s{2}.m{3}.t{0}.n{1}".format(*pair.groups())
             assert c["id"] in closed or mirror in closed, c["id"]
     assert {"single.m1", "general.n4.m8", "virasoro.m0.n0", "lambda2.eo.k0.l0", "sp2.high_low",
-            "casimir.vanishing"} <= closed
-    assert closed.isdisjoint(direct)
-    assert all(i.startswith(DIRECT) or i == "wconst.central" for i in direct), sorted(direct)
-    assert {i.split(".")[0] for i in direct} == {"basic", "klein_v", "klein_w", "lambda2",
-                                                "wconst"}
+            "casimir.vanishing", "klein_v.m-1", "klein_w.s4.m3", "lambda2.klein_odd.k2"} <= closed
+    klein = {i for i in closed if i.startswith(("klein_v.", "klein_w.", "lambda2.klein_"))}
+    assert len(klein) == 7 + 25 + 6
+    assert closed.isdisjoint(direct | graded)
+    assert {i.split(".")[0] for i in direct} == {"basic"}
+    # the graded entries that are not row claims: the basic relations and wconst.central
+    assert {i.split(".")[0] for i in graded} == {"basic", "wconst"}
+    assert {i for i in graded if i.startswith("wconst")} == {"wconst.central"}
 
 
 @pytest.mark.parametrize("res_paper", [float("nan"), float("inf")])
 def test_verdict_fails_a_non_finite_published_residual(res_paper):
-    # a finite, small res_best must not turn a non-finite res_paper into a discrepancy
-    assert _verdict("single.m1", SafeWindow(0, 1), 0.0, res_paper, 0.0).status == "fail"
+    # a passing gate must not turn a non-finite res_paper into a discrepancy
+    assert _verdict("single.m1", SafeWindow(0, 1), 0.0, res_paper).status == "fail"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

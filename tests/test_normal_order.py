@@ -479,6 +479,23 @@ def test_a_power_of_a_word_takes_logarithmically_many_products(monkeypatch, text
     assert 0 < len(products) <= 2 * math.log2(300000)
 
 
+def test_a_power_stops_at_its_first_non_finite_power(monkeypatch):
+    """(a ad)^5000 at lambda 2 leaves the doubles at its 219th power, and no product follows."""
+    products = []
+
+    def counted(x, y, params):
+        products.append(1)
+        return nf_mul(x, y, params)
+
+    monkeypatch.setattr(normal_order, "nf_mul", counted)
+    params = validate_alpha(2, (0.5, -0.5))
+    with pytest.raises(NotFinite, match="^power 219 has a non-finite coefficient$"):
+        normal_form(parse("(a ad)^5000"), params)
+    assert len(products) == 219
+    power = normal_form(parse("(a ad)^218"), params)
+    assert all(map(cmath.isfinite, power.terms.values()))
+
+
 @pytest.mark.parametrize("lam", [2, 3, 5])
 def test_a_power_that_grows_is_the_left_to_right_product(lam, rng):
     """1 * x * ... * x left to right, bit for bit, for n <= 3 and for any x whose powers grow."""

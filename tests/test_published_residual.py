@@ -81,7 +81,7 @@ def _perturbed(monkeypatch, params, dim):
     return changes
 
 
-@pytest.mark.parametrize("lam, count, entries", [(2, 154, 74), (5, 185, 48)])
+@pytest.mark.parametrize("lam, count, entries", [(2, 135, 74), (5, 160, 48)])
 def test_every_changed_published_term_is_seen_at_every_dim(monkeypatch, lam, count, entries):
     """`count` changed terms, `entries` of them on the side behind an entry's res_paper.
 
